@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -106,8 +107,10 @@ class StandardizationStats:
     std: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.std <= 0):
-            raise ValueError("standardization std must be positive")
+        if not np.all(np.isfinite(self.mean)):
+            raise ValueError("standardization mean must be finite")
+        if not np.all(np.isfinite(self.std)) or np.any(self.std <= 0):
+            raise ValueError("standardization std must be finite and positive")
 
     @classmethod
     def identity(cls, d: int) -> "StandardizationStats":
@@ -154,7 +157,7 @@ def load_csv(path, label_column: str = "label") -> SequenceDataset:
             raw_label = row[label_idx].strip()
             try:
                 label = int(float(raw_label))
-            except ValueError:
+            except (ValueError, OverflowError):  # OverflowError: an infinite label
                 raise ValueError(f"{path}: row {row_no}: non-integer label {raw_label!r}") from None
             if label not in CLASS_LABELS or float(raw_label) != label:
                 raise ValueError(f"{path}: row {row_no}: label {raw_label} outside {{1..4}}")
@@ -169,6 +172,8 @@ def load_csv(path, label_column: str = "label") -> SequenceDataset:
                     raise ValueError(
                         f"{path}: row {row_no}: non-numeric value {cell!r} in column {header[i]!r}"
                     ) from None
+                if not math.isfinite(feats[j]):
+                    raise ValueError(f"{path}: row {row_no}: non-finite value {cell!r} in column {header[i]!r}")
                 j += 1
             frames.append(SensorFrame(t=row_no - 1, features=feats, label=label))
     if not frames:

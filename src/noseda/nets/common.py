@@ -48,15 +48,31 @@ class Adam:
 
     def step(self, params, grads) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1**self.t)
-            v_hat = v / (1 - b2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            adam_update(p, g, m, v, self.t, self.lr, self.beta1, self.beta2, self.eps)
+
+
+def adam_update(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+    """One in-place Adam update of ``p`` and its moments ``m``, ``v``.
+
+    ``t`` is the step count: an int, or a sequence of ints with one entry per
+    row of a stack of models (``p.shape[0] == len(t)``), each row then taking
+    its own bias correction.  The corrections ``1 - beta**t`` are Python
+    floats either way, so a stacked row updates bit for bit like a lone model.
+    """
+    if isinstance(t, int):
+        c1, c2 = 1 - beta1**t, 1 - beta2**t
+    else:
+        tail = (1,) * (p.ndim - 1)
+        c1 = np.array([1 - beta1**ti for ti in t]).reshape(-1, *tail)
+        c2 = np.array([1 - beta2**ti for ti in t]).reshape(-1, *tail)
+    m *= beta1
+    m += (1 - beta1) * g
+    v *= beta2
+    v += (1 - beta2) * g * g
+    m_hat = m / c1
+    v_hat = v / c2
+    p -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def sigmoid(z):

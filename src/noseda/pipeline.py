@@ -26,7 +26,7 @@ import numpy as np
 from .gmm import GmmParams, gmm_assign, gmm_fit
 from .ingest import StandardizationStats, WindowSample, flatten_windows, stack_windows
 from .nets.common import TrainConfig
-from .nets.lstm import LstmParams, lstm_loss, lstm_predict, lstm_predict_proba, lstm_train
+from .nets.lstm import LstmParams, lstm_loss, lstm_predict, lstm_predict_proba, lstm_train_many
 from .nets.softmax_regression import (
     SoftmaxRegressionParams,
     softmax_loss,
@@ -149,21 +149,60 @@ def _histogram(labels: np.ndarray) -> np.ndarray:
     return np.bincount(labels, minlength=5)[1:5]
 
 
-def _train_cluster_experts(
-    windows: Sequence[WindowSample], assignment: np.ndarray, k: int, config: TrainConfig
-) -> list[ClusterExpert]:
-    experts = []
+def _cluster_members(assignment: np.ndarray, k: int) -> list[np.ndarray]:
+    """Source-window indices of each cluster; an empty cluster is an error."""
+    members = []
     for c in range(k):
         idx = np.flatnonzero(assignment == c)
         if idx.size == 0:
             raise ValueError(f"cluster {c} received no source windows; retry with a different seed")
-        X, y = stack_windows([windows[i] for i in idx])
-        cfg = replace(config, seed=stage_seed(config.seed, "expert", c))
-        params = lstm_train(X, y, cfg)
-        experts.append(
-            ClusterExpert(cluster_id=c, expert_before=params, expert_after=None, source_label_histogram=_histogram(y))
-        )
-    return experts
+        members.append(idx)
+    return members
+
+
+def _train_networks(stage: str, jobs: Sequence[tuple[np.ndarray, np.ndarray, TrainConfig, int]]) -> list[LstmParams]:
+    """Train (X, y, run config, cluster id) jobs in one lockstep call; each
+    network seeds from ``stage_seed(run seed, stage, cluster id)``."""
+    return lstm_train_many(
+        [X for X, _, _, _ in jobs],
+        [y for _, y, _, _ in jobs],
+        [replace(cfg, seed=stage_seed(cfg.seed, stage, c)) for _, _, cfg, c in jobs],
+    )
+
+
+def _train_source_experts(
+    X: np.ndarray, y: np.ndarray, members_per_run: Sequence[list[np.ndarray]], configs: Sequence[TrainConfig]
+) -> list[list[ClusterExpert]]:
+    """Stage 2 for many runs: every run's per-cluster experts in one lockstep call."""
+    jobs = [(X[idx], y[idx], cfg, c) for members, cfg in zip(members_per_run, configs) for c, idx in enumerate(members)]
+    params = iter(_train_networks("expert", jobs))
+    return [
+        [ClusterExpert(c, next(params), None, _histogram(y[idx])) for c, idx in enumerate(members)]
+        for members in members_per_run
+    ]
+
+
+def _train_cluster_experts(
+    windows: Sequence[WindowSample], assignment: np.ndarray, k: int, config: TrainConfig
+) -> list[ClusterExpert]:
+    members = _cluster_members(assignment, k)
+    X, y = stack_windows(windows)
+    return _train_source_experts(X, y, [members], [config])[0]
+
+
+def _fit_source_many(source_windows: Sequence[WindowSample], k: int, configs: Sequence[TrainConfig]):
+    """Stages 1-2 for several seeds: one GMM per config, then all k experts of
+    every config in one lockstep call.  Returns (gmms, members, experts), one
+    entry per config, and the stacked source (X, y)."""
+    flats = flatten_windows(source_windows)
+    if flats.shape[0] < k:
+        raise ValueError(f"need at least k={k} source windows, got {flats.shape[0]}")
+    gmms, members = [], []
+    for cfg in configs:
+        gmms.append(gmm_fit(flats, k=k, seed=stage_seed(cfg.seed, "gmm")))
+        members.append(_cluster_members(gmm_assign(gmms[-1], flats), k))
+    X, y = stack_windows(source_windows)
+    return gmms, members, _train_source_experts(X, y, members, configs), (X, y)
 
 
 def fit_source(source_windows: Sequence[WindowSample], k: int = 2, config: TrainConfig = TrainConfig()):
@@ -172,12 +211,8 @@ def fit_source(source_windows: Sequence[WindowSample], k: int = 2, config: Train
     Returns (GmmParams, experts); each expert carries its cluster's label
     histogram for the routing fallback.
     """
-    flats = flatten_windows(source_windows)
-    if flats.shape[0] < k:
-        raise ValueError(f"need at least k={k} source windows, got {flats.shape[0]}")
-    params = gmm_fit(flats, k=k, seed=stage_seed(config.seed, "gmm"))
-    assignment = gmm_assign(params, flats)
-    return params, _train_cluster_experts(source_windows, assignment, k, config)
+    gmms, _, experts, _ = _fit_source_many(source_windows, k, [config])
+    return gmms[0], experts[0]
 
 
 def route_few_shot(experts: Sequence[ClusterExpert], shots: Sequence[WindowSample]) -> tuple[int, ...]:
@@ -204,6 +239,22 @@ def route_few_shot(experts: Sequence[ClusterExpert], shots: Sequence[WindowSampl
     return tuple(assignments)
 
 
+def _train_adapted(
+    experts_per_run: Sequence[Sequence[ClusterExpert]],
+    sets_per_run: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
+    configs: Sequence[TrainConfig],
+) -> list[list[ClusterExpert]]:
+    """Stage 4 for many runs: a fresh expert per cluster on its (X, y) set,
+    every run's experts in one lockstep call."""
+    jobs = [
+        (X, y, cfg, e.cluster_id)
+        for experts, sets, cfg in zip(experts_per_run, sets_per_run, configs)
+        for e, (X, y) in zip(experts, sets)
+    ]
+    params = iter(_train_networks("adapt", jobs))
+    return [[replace(e, expert_after=next(params)) for e in experts] for experts in experts_per_run]
+
+
 def adapt_experts(
     experts: Sequence[ClusterExpert],
     source_windows_by_cluster: Sequence[Sequence[WindowSample]],
@@ -218,14 +269,13 @@ def adapt_experts(
     """
     if len(assignments) != len(shots):
         raise ValueError("assignments must cover all shots")
-    out = []
-    for e in experts:
-        train = list(source_windows_by_cluster[e.cluster_id])
-        train += [s for s, a in zip(shots, assignments) if a == e.cluster_id]
-        X, y = stack_windows(train)
-        cfg = replace(config, seed=stage_seed(config.seed, "adapt", e.cluster_id))
-        out.append(replace(e, expert_after=lstm_train(X, y, cfg)))
-    return out
+    sets = [
+        stack_windows(
+            list(source_windows_by_cluster[e.cluster_id]) + [s for s, a in zip(shots, assignments) if a == e.cluster_id]
+        )
+        for e in experts
+    ]
+    return _train_adapted([experts], [sets], [config])[0]
 
 
 def fit_gate(
@@ -255,6 +305,46 @@ def fit_gate(
     return GateModel(params=softmax_train(flats, y, n_clusters, l2=l2, max_iter=max_iter, tol=tol), n_clusters=n_clusters)
 
 
+def _fit_many(
+    source_windows: Sequence[WindowSample],
+    shots: Sequence[WindowSample],
+    k: int,
+    configs: Sequence[TrainConfig],
+    stats: StandardizationStats | None,
+    gate_l2: float,
+) -> list[HierarchicalModel]:
+    """``fit`` once per config, stage by stage across the configs.
+
+    GMM, routing and gate run per config; the source experts of all configs
+    train in one ``lstm_train_many`` call, and so do the adapted experts.  Each
+    model is bit-identical to what a lone fit with its config would build.
+    """
+    gmms, members, experts, (X, y) = _fit_source_many(source_windows, k, configs)
+    routes, gates = [], []
+    for run_experts in experts:
+        routes.append(route_few_shot(run_experts, shots))
+        gates.append(fit_gate(shots, routes[-1], k, l2=gate_l2))
+    shot_X, shot_y = stack_windows(shots)
+    sets = []
+    for run_members, route in zip(members, routes):
+        to = np.asarray(route)  # each cluster trains on its source windows plus its routed shots
+        sets.append(
+            [
+                (np.concatenate([X[idx], shot_X[to == c]]), np.concatenate([y[idx], shot_y[to == c]]))
+                for c, idx in enumerate(run_members)
+            ]
+        )
+    experts = _train_adapted(experts, sets, configs)
+    if stats is None:
+        stats = StandardizationStats.identity(source_windows[0].x.shape[1])
+    return [
+        HierarchicalModel(
+            gmm=gmm, experts=tuple(run_experts), gate=gate, stats=stats, shot_assignments=route, fit_seed=cfg.seed
+        )
+        for gmm, run_experts, gate, route, cfg in zip(gmms, experts, gates, routes, configs)
+    ]
+
+
 def fit(
     source_windows: Sequence[WindowSample],
     shots: Sequence[WindowSample],
@@ -264,26 +354,7 @@ def fit(
     gate_l2: float = 1e-4,
 ) -> HierarchicalModel:
     """Run all stages once and assemble the full model."""
-    flats = flatten_windows(source_windows)
-    if flats.shape[0] < k:
-        raise ValueError(f"need at least k={k} source windows, got {flats.shape[0]}")
-    gmm_params = gmm_fit(flats, k=k, seed=stage_seed(config.seed, "gmm"))
-    assignment = gmm_assign(gmm_params, flats)
-    experts = _train_cluster_experts(source_windows, assignment, k, config)
-    shot_assignments = route_few_shot(experts, shots)
-    gate = fit_gate(shots, shot_assignments, k, l2=gate_l2)
-    by_cluster = [[w for w, a in zip(source_windows, assignment) if a == c] for c in range(k)]
-    experts = adapt_experts(experts, by_cluster, shots, shot_assignments, config)
-    if stats is None:
-        stats = StandardizationStats.identity(source_windows[0].x.shape[1])
-    return HierarchicalModel(
-        gmm=gmm_params,
-        experts=tuple(experts),
-        gate=gate,
-        stats=stats,
-        shot_assignments=shot_assignments,
-        fit_seed=config.seed,
-    )
+    return _fit_many(source_windows, shots, k, [config], stats, gate_l2)[0]
 
 
 def predict(model: HierarchicalModel, window) -> int:
@@ -331,6 +402,12 @@ def fit_selected(
     from re-evaluating the selected model ("repredict" mode, where a
     deterministic model yields identical entries).  Test labels are touched
     only by the accuracy bookkeeping, never by any fit.
+
+    All the fits (the ``runs`` selection seeds, plus the ``evals`` refit
+    seeds in "refit" mode) run together, stage by stage: the source experts
+    of every seed train in one lockstep ``lstm_train_many`` call, and so do
+    the adapted experts.  The result is bit-identical to calling ``fit`` once
+    per seed: the same models, the same report, the same model bytes.
     """
     if eval_mode not in ("refit", "repredict"):
         raise ValueError(f"unknown eval_mode {eval_mode!r}")
@@ -341,22 +418,17 @@ def fit_selected(
     if len(pools) != len(test_pools):
         log.warning("ignoring %d empty test pool(s)", len(test_pools) - len(pools))
 
-    best_model = None
-    shot_accs: list[float] = []
-    for r in range(runs):
-        m = fit(source_windows, shots, k, replace(config, seed=config.seed + r), stats, gate_l2)
-        acc = float(np.mean(predict_batch(m, shot_X) == shot_y))
-        shot_accs.append(acc)
-        if best_model is None or acc > max(shot_accs[:-1], default=-1.0):
-            best_model = m
+    n_fits = runs + evals if eval_mode == "refit" else runs
+    models = _fit_many(
+        source_windows, shots, k, [replace(config, seed=config.seed + r) for r in range(n_fits)], stats, gate_l2
+    )
+    shot_accs = [float(np.mean(predict_batch(m, shot_X) == shot_y)) for m in models[:runs]]
+    best_model = models[int(np.argmax(shot_accs))]
 
     eval_accs: list[float] = []
     eval_file_accs: list[tuple[float, ...]] = []
     for j in range(evals):
-        if eval_mode == "refit":
-            m = fit(source_windows, shots, k, replace(config, seed=config.seed + runs + j), stats, gate_l2)
-        else:
-            m = best_model
+        m = models[runs + j] if eval_mode == "refit" else best_model
         file_accs = tuple(float(np.mean(predict_batch(m, X) == y)) for X, y in pools)
         eval_file_accs.append(file_accs)
         eval_accs.append(float(np.mean(file_accs)) if file_accs else float("nan"))

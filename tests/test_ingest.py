@@ -57,6 +57,21 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="non-numeric"):
             load_csv(p)
 
+    def test_infinite_label_cites_row(self, tmp_path):
+        p = tmp_path / "inf_label.csv"
+        write_csv(p, ["MQ2", "label"], [[1.0, 1], [2.0, "inf"]])
+        with pytest.raises(ValueError, match="row 2: non-integer label 'inf'"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_feature_cites_file_row_column(self, tmp_path, cell):
+        p = tmp_path / "non_finite.csv"
+        write_csv(p, ["MQ2", "MQ3", "label"], [[1.0, 2.0, 1], [1.5, 2.5, 2], [2.0, cell, 3]])
+        with pytest.raises(ValueError, match="row 3: non-finite value") as err:
+            load_csv(p)
+        assert str(p) in str(err.value)
+        assert "'MQ3'" in str(err.value)
+
     def test_missing_label_column(self, tmp_path):
         p = tmp_path / "nolabel.csv"
         write_csv(p, ["MQ2", "MQ3"], [[1.0, 2.0]])
@@ -156,6 +171,21 @@ class TestStandardizer:
         target = dataset_from_arrays([stats.mean], [4])
         out = apply_standardizer(target, stats)
         assert np.abs(out.feature_matrix[0]).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "mean, std",
+        [
+            ([0.0, np.nan], [1.0, 1.0]),
+            ([0.0, np.inf], [1.0, 1.0]),
+            ([0.0, 0.0], [1.0, np.nan]),
+            ([0.0, 0.0], [1.0, np.inf]),
+            ([0.0, 0.0], [1.0, 0.0]),
+            ([0.0, 0.0], [1.0, -1.0]),
+        ],
+    )
+    def test_stats_must_be_finite_with_positive_std(self, mean, std):
+        with pytest.raises(ValueError, match="standardization"):
+            StandardizationStats(mean=np.asarray(mean), std=np.asarray(std))
 
     def test_dimension_mismatch(self):
         ds = dataset_from_arrays([[1.0, 2.0]], [1])

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from noseda.nets import TrainConfig, lstm_forward, lstm_predict, lstm_predict_proba, lstm_train
-from noseda.nets.lstm import LstmParams, lstm_init, lstm_loss, _forward
+from noseda.nets import Adam, TrainConfig, lstm_forward, lstm_predict, lstm_predict_proba, lstm_train
+from noseda.nets.common import dropout_mask, minibatch_indices
+from noseda.nets.lstm import LstmParams, lstm_init, lstm_loss, lstm_loss_grad, lstm_train_many, _forward
 
 
 def constant_params(d=1, h=4, c=4, value=0.5):
@@ -138,6 +140,96 @@ class TestTrain:
         params, trace = lstm_train(X, y, cfg, return_trace=True)
         assert trace[-1] < trace[0]
         assert lstm_loss(params, X, y) < trace[0]
+
+
+def sequential_train(X, y, config):
+    """Reference trainer: one network, one minibatch at a time, through the
+    public gradient and Adam; the loop the lockstep trainer must reproduce."""
+    rng = np.random.default_rng(config.seed)
+    params = lstm_init(X.shape[2], seed=int(rng.integers(2**63)))
+    arrays = params.arrays()
+    opt = Adam(arrays, lr=config.learning_rate)
+    trace = []
+    for _ in range(config.epochs):
+        total = 0.0
+        for idx in minibatch_indices(len(y), config.batch_size, rng):
+            drop = dropout_mask(rng, (len(idx), params.hidden_dim), config.dropout)
+            loss, grads = lstm_loss_grad(params, X[idx], y[idx], drop)
+            opt.step(arrays, grads)
+            total += loss * len(idx)
+        trace.append(total / len(y))
+    return params, trace
+
+
+class TestTrainMany:
+    # batch 16: smaller than one batch, one exact batch, an exact multiple,
+    # and a partial last batch, so the models drop out of the lockstep at
+    # different steps and with different last-batch lengths
+    SIZES = (5, 16, 48, 37, 21)
+
+    def datasets(self, rng, d=3):
+        return [separable_windows(rng, n=n, d=d) for n in self.SIZES]
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_matches_sequential_reference(self, rng, dropout):
+        data = self.datasets(rng)
+        configs = [
+            TrainConfig(epochs=4, dropout=dropout, learning_rate=0.02, batch_size=16, seed=s) for s in (7, 1, 4, 1, 0)
+        ]
+        params, traces = lstm_train_many([X for X, _ in data], [y for _, y in data], configs, return_trace=True)
+        assert len(params) == len(traces) == len(data)
+        for (X, y), cfg, p, trace in zip(data, configs, params, traces):
+            ref, ref_trace = sequential_train(X, y, cfg)
+            single, single_trace = lstm_train(X, y, cfg, return_trace=True)
+            for a, b, c in zip(p.arrays(), ref.arrays(), single.arrays()):
+                assert np.array_equal(a, b)
+                assert np.array_equal(a, c)
+            assert np.array_equal(trace, ref_trace)
+            assert trace == single_trace
+
+    def test_input_order_does_not_matter(self, rng):
+        data = self.datasets(rng)
+        configs = [TrainConfig(epochs=2, dropout=0.2, batch_size=16, seed=s) for s in range(len(data))]
+        forward = lstm_train_many([X for X, _ in data], [y for _, y in data], configs)
+        backward = lstm_train_many([X for X, _ in data[::-1]], [y for _, y in data[::-1]], configs[::-1])
+        for p, q in zip(forward, backward[::-1]):
+            for a, b in zip(p.arrays(), q.arrays()):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epochs", 3), ("batch_size", 8), ("learning_rate", 0.1), ("dropout", 0.5)],
+    )
+    def test_mixed_shared_settings_rejected(self, rng, field, value):
+        data = self.datasets(rng)[:3]
+        base = TrainConfig(epochs=2, dropout=0.2, learning_rate=0.01, batch_size=16)
+        configs = [base, replace(base, seed=1), replace(base, seed=2, **{field: value})]
+        with pytest.raises(ValueError, match=field):
+            lstm_train_many([X for X, _ in data], [y for _, y in data], configs)
+
+    def test_mixed_window_width_rejected(self, rng):
+        (X1, y1), (X2, y2) = separable_windows(rng, n=20, d=3), separable_windows(rng, n=20, d=4)
+        with pytest.raises(ValueError, match="width"):
+            lstm_train_many([X1, X2], [y1, y2], [TrainConfig(epochs=1)] * 2)
+
+    def test_one_dataset_per_config(self, rng):
+        X, y = separable_windows(rng, n=20)
+        with pytest.raises(ValueError):
+            lstm_train_many([X, X], [y, y], [TrainConfig(epochs=1)])
+        with pytest.raises(ValueError):
+            lstm_train_many([], [], [])
+
+    def test_bad_member_rejected(self, rng):
+        X, y = separable_windows(rng, n=20)
+        cfgs = [TrainConfig(epochs=1)] * 2
+        with pytest.raises(ValueError, match="empty"):
+            lstm_train_many([X, X[:0]], [y, y[:0]], cfgs)
+        with pytest.raises(ValueError, match="labels"):
+            lstm_train_many([X, X], [y, y[:-1]], cfgs)
+        bad = X.copy()
+        bad[3, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            lstm_train_many([X, bad], [y, y], cfgs)
 
 
 class TestConfig:

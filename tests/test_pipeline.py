@@ -187,13 +187,13 @@ class TestRouting:
 class TestAdaptation:
     def test_training_set_sizes(self, rng, monkeypatch):
         seen = []
-        real = pipeline_mod.lstm_train
+        real = pipeline_mod.lstm_train_many
 
-        def spy(X, y, cfg, **kw):
-            seen.append(len(y))
-            return real(X, y, cfg, **kw)
+        def spy(Xs, ys, cfgs, **kw):
+            seen.extend(len(y) for y in ys)
+            return real(Xs, ys, cfgs, **kw)
 
-        monkeypatch.setattr(pipeline_mod, "lstm_train", spy)
+        monkeypatch.setattr(pipeline_mod, "lstm_train_many", spy)
         source = [window(rng.normal(size=(2, 2)), 1 + i % 4) for i in range(100)]
         shots = [window(rng.normal(size=(2, 2)), 1 + i % 4) for i in range(4)]
         experts = [bias_expert([0.25] * 4, 0, hist=(25, 25, 25, 25))]
@@ -340,6 +340,52 @@ class TestFitSelected:
         X, y = stack_windows(pool)
         acc = float(np.mean(predict_batch(model, X) == y))
         assert report.eval_accuracies == (acc,) * 3
+
+    @staticmethod
+    def reference_fit_selected(ws, shots, pools, k, runs, evals, config, eval_mode):
+        """The protocol one fit at a time: ``runs`` seeded fits scored on the
+        shots, then ``evals`` refits or re-predictions of the selected model."""
+        shot_X, shot_y = stack_windows(shots)
+        models = [fit(ws, shots, k, replace(config, seed=config.seed + r)) for r in range(runs)]
+        shot_accs = [float(np.mean(predict_batch(m, shot_X) == shot_y)) for m in models]
+        best = models[int(np.argmax(shot_accs))]
+        file_accs = []
+        for j in range(evals):
+            m = fit(ws, shots, k, replace(config, seed=config.seed + runs + j)) if eval_mode == "refit" else best
+            file_accs.append(tuple(float(np.mean(predict_batch(m, X) == y)) for X, y in map(stack_windows, pools)))
+        eval_accs = [float(np.mean(f)) for f in file_accs]
+        return best, SelectionReport(
+            shot_accuracies=tuple(shot_accs),
+            selected_run=int(np.argmax(shot_accs)),
+            eval_accuracies=tuple(eval_accs),
+            mean_test_accuracy=float(np.mean(eval_accs)),
+            eval_file_accuracies=tuple(file_accs),
+        )
+
+    @pytest.mark.parametrize("eval_mode", ["refit", "repredict"])
+    def test_matches_one_fit_at_a_time(self, rng, eval_mode):
+        ws, shots, pool = self.setup_problem(rng, n_per=25)
+        pools = [pool[::2], pool[1::2]]
+        cfg = replace(FAST, epochs=3, seed=5)
+        model, report = fit_selected(ws, shots, pools, k=2, runs=4, evals=3, config=cfg, eval_mode=eval_mode)
+        ref_model, ref_report = self.reference_fit_selected(ws, shots, pools, 2, 4, 3, cfg, eval_mode)
+        assert report == ref_report
+        assert model_to_json_bytes(model) == model_to_json_bytes(ref_model)
+
+    @pytest.mark.parametrize("eval_mode", ["refit", "repredict"])
+    def test_empty_cluster_in_any_run_is_an_error(self, rng, monkeypatch, eval_mode):
+        ws, shots, pool = self.setup_problem(rng, n_per=10)
+        real = pipeline_mod.gmm_assign
+        calls = []
+
+        def third_run_collapses(params, flats):
+            calls.append(1)
+            out = real(params, flats)
+            return np.zeros_like(out) if len(calls) == 3 else out
+
+        monkeypatch.setattr(pipeline_mod, "gmm_assign", third_run_collapses)
+        with pytest.raises(ValueError, match="cluster 1 received no source windows"):
+            fit_selected(ws, shots, [pool], k=2, runs=4, evals=2, config=FAST, eval_mode=eval_mode)
 
     def test_selection_report_validates_argmax(self):
         with pytest.raises(ValueError):
