@@ -62,38 +62,63 @@ class AdaBoostModel:
         )
 
 
-def _best_stump(X: np.ndarray, y: np.ndarray, w: np.ndarray, classes: tuple[int, ...]):
+@dataclass(frozen=True)
+class _SortedFeatures:
+    """Every feature's stable sort order and candidate splits, computed once
+    per training set since boosting only reweights the samples."""
+
+    order: np.ndarray  # (p, n) stable argsort of each feature
+    split_index: np.ndarray  # (k, m) flat index of every split in a (k, p, n) array, features ascending
+    split_feature: np.ndarray  # (m,) feature of every split
+    thresholds: np.ndarray  # (m,) midpoint threshold of every split
+
+    @classmethod
+    def build(cls, X: np.ndarray, k: int) -> "_SortedFeatures":
+        n, p = X.shape
+        order = np.argsort(X, axis=0, kind="stable").T
+        rows, feats, thrs = [], [], []
+        for f in range(p):
+            xs = X[order[f], f]
+            splits = np.flatnonzero(xs[:-1] < xs[1:])
+            rows.append(f * n + splits)
+            feats.append(np.full(splits.size, f))
+            thrs.append(0.5 * (xs[splits] + xs[splits + 1]))
+        split_index = np.arange(k)[:, None] * (p * n) + np.concatenate(rows)
+        return cls(order, split_index, np.concatenate(feats), np.concatenate(thrs))
+
+
+def _best_stump(sf: _SortedFeatures, class_idx: np.ndarray, w: np.ndarray, classes: tuple[int, ...]):
     """Exhaustive midpoint-threshold search; each side votes its weighted-majority class.
 
-    Returns (stump, weighted_error, predictions) or None when no feature splits.
+    ``class_idx`` holds each sample's position in ``classes``.  Ties go to the
+    lowest feature, then the lowest split.  Returns (stump, weighted_error)
+    or None when no feature splits.
     """
-    n, p = X.shape
-    k = len(classes)
-    class_idx = np.searchsorted(classes, y)
+    if sf.split_feature.size == 0:
+        return None
+    n, k = class_idx.shape[0], len(classes)
     wc = np.zeros((n, k))
     wc[np.arange(n), class_idx] = w
     total = wc.sum(axis=0)  # (k,)
+    # class-major (k, p, n) running weights, so every class is one contiguous row
+    left = np.cumsum(np.take(wc.T.copy(), sf.order, axis=1), axis=2).take(sf.split_index)  # (k, m)
+    right = total[:, None] - left
+    li, best_left = _first_max(left)
+    ri, best_right = _first_max(right)
+    err = 1.0 - (best_left + best_right)
+    j = int(np.argmin(err))
+    stump = Stump(int(sf.split_feature[j]), float(sf.thresholds[j]), classes[li[j]], classes[ri[j]])
+    return stump, float(err[j])
 
-    best = None
-    for f in range(p):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        splits = np.flatnonzero(xs[:-1] < xs[1:])
-        if splits.size == 0:
-            continue
-        left = np.cumsum(wc[order], axis=0)[splits]  # (m, k)
-        right = total - left
-        li = np.argmax(left, axis=1)
-        ri = np.argmax(right, axis=1)
-        err = 1.0 - (left[np.arange(len(splits)), li] + right[np.arange(len(splits)), ri])
-        j = int(np.argmin(err))
-        if best is None or err[j] < best[0]:
-            thr = 0.5 * (xs[splits[j]] + xs[splits[j] + 1])
-            best = (float(err[j]), Stump(f, thr, classes[li[j]], classes[ri[j]]))
-    if best is None:
-        return None
-    err, stump = best
-    return stump, err, stump.predict(X)
+
+def _first_max(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column-wise ``argmax`` over the rows of a (k, m) array (ties to the
+    lower row) and the maxima themselves."""
+    best = rows.max(axis=0)
+    arg = np.full(rows.shape[1], rows.shape[0] - 1)
+    for c in range(rows.shape[0] - 2, -1, -1):
+        np.copyto(arg, c, where=rows[c] == best)
+    return arg, best
 
 
 def adaboost_train(X: np.ndarray, labels: np.ndarray, n_estimators: int = 100) -> AdaBoostModel:
@@ -113,14 +138,16 @@ def adaboost_train(X: np.ndarray, labels: np.ndarray, n_estimators: int = 100) -
         raise ValueError("AdaBoost needs at least 2 classes in the training data")
 
     n = X.shape[0]
+    sf = _SortedFeatures.build(X, k)
+    class_idx = np.searchsorted(classes, y)
     w = np.full(n, 1.0 / n)
     stumps, alphas, errors = [], [], []
     for _ in range(n_estimators):
-        found = _best_stump(X, y, w, classes)
+        found = _best_stump(sf, class_idx, w, classes)
         if found is None:
             log.warning("no splittable feature; stopping at %d stumps", len(stumps))
             break
-        stump, err, pred = found
+        stump, err = found
         if err >= 1.0 - 1.0 / k:
             log.debug("stump error %.4f at chance margin; stopping at %d stumps", err, len(stumps))
             break
@@ -130,7 +157,7 @@ def adaboost_train(X: np.ndarray, labels: np.ndarray, n_estimators: int = 100) -
         errors.append(err)
         if err <= 0.0:
             break  # perfect stump; reweighting would zero out every sample
-        w = w * np.exp(alpha * (pred != y))
+        w = w * np.exp(alpha * (stump.predict(X) != y))
         w = w / w.sum()
     return AdaBoostModel(stumps=tuple(stumps), alphas=tuple(alphas), classes=classes, stump_errors=tuple(errors))
 
@@ -202,6 +229,10 @@ def ss_init(X: np.ndarray, labels: np.ndarray) -> NnSsState:
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
+    if X.ndim != 2:
+        raise ValueError(f"expected (n, p) source vectors, got shape {X.shape}")
+    if y.shape != (X.shape[0],):
+        raise ValueError(f"{X.shape[0]} source vectors but {y.size} labels")
     missing = [c for c in (1, 2, 3, 4) if not np.any(y == c)]
     if missing:
         raise ValueError(f"source data lacks classes {missing}; all four are required")

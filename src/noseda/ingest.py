@@ -13,6 +13,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -132,7 +133,8 @@ def load_csv(path, label_column: str = "label") -> SequenceDataset:
 
     The header names the columns; every column except ``label_column`` is a
     numeric feature.  Labels must be integers in 1..4; the first offending
-    data row (1-based) is reported otherwise.
+    data row (1-based) is reported otherwise.  Blank lines are skipped but
+    still counted, both in row numbers and in the frames' ``t``.
     """
     path = Path(path)
     if not path.is_file():
@@ -147,38 +149,65 @@ def load_csv(path, label_column: str = "label") -> SequenceDataset:
         if label_column not in header:
             raise ValueError(f"{path}: no column named {label_column!r} in header {header}")
         label_idx = header.index(label_column)
-        feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-        frames = []
+        rows, row_nos = [], []
         for row_no, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
+            if not row or not "".join(row).strip():
                 continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
-            raw_label = row[label_idx].strip()
-            try:
-                label = int(float(raw_label))
-            except (ValueError, OverflowError):  # OverflowError: an infinite label
-                raise ValueError(f"{path}: row {row_no}: non-integer label {raw_label!r}") from None
-            if label not in CLASS_LABELS or float(raw_label) != label:
-                raise ValueError(f"{path}: row {row_no}: label {raw_label} outside {{1..4}}")
-            feats = np.empty(len(feature_names))
-            j = 0
-            for i, cell in enumerate(row):
-                if i == label_idx:
-                    continue
-                try:
-                    feats[j] = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: row {row_no}: non-numeric value {cell!r} in column {header[i]!r}"
-                    ) from None
-                if not math.isfinite(feats[j]):
-                    raise ValueError(f"{path}: row {row_no}: non-finite value {cell!r} in column {header[i]!r}")
-                j += 1
-            frames.append(SensorFrame(t=row_no - 1, features=feats, label=label))
-    if not frames:
+            rows.append(row)
+            row_nos.append(row_no)
+    if not rows:
         raise ValueError(f"{path}: no data rows")
-    return SequenceDataset(name=path.stem, frames=tuple(frames), feature_names=feature_names)
+    parsed = _parse_rows(rows, len(header), label_idx)
+    if parsed is None:
+        _raise_first_bad_row(path, header, label_idx, rows, row_nos)
+    features, labels = parsed
+    frames = tuple(
+        SensorFrame(t=row_no - 1, features=f, label=label) for row_no, f, label in zip(row_nos, features, labels)
+    )
+    feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+    return SequenceDataset(name=path.stem, frames=frames, feature_names=feature_names)
+
+
+def _parse_rows(rows: list[list[str]], n_cols: int, label_idx: int):
+    """All cells at once: the (N, d) feature matrix and the labels as Python
+    ints, or None when any row is malformed (the caller then finds it)."""
+    if any(len(row) != n_cols for row in rows):
+        return None
+    try:
+        cells = np.fromiter(map(float, chain.from_iterable(rows)), dtype=np.float64, count=len(rows) * n_cols)
+    except ValueError:
+        return None
+    cells = cells.reshape(len(rows), n_cols)
+    raw_labels = cells[:, label_idx]
+    features = np.delete(cells, label_idx, axis=1)
+    if not (np.all(np.isin(raw_labels, CLASS_LABELS)) and np.all(np.isfinite(features))):
+        return None
+    return features, raw_labels.astype(np.int64).tolist()
+
+
+def _raise_first_bad_row(path: Path, header: list[str], label_idx: int, rows, row_nos) -> None:
+    """Walk the rows in file order and raise for the first bad one, with its
+    row number and, for a bad cell, its column."""
+    for row_no, row in zip(row_nos, rows):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
+        raw_label = row[label_idx].strip()
+        try:
+            label = int(float(raw_label))
+        except (ValueError, OverflowError):  # OverflowError: an infinite label
+            raise ValueError(f"{path}: row {row_no}: non-integer label {raw_label!r}") from None
+        if label not in CLASS_LABELS or float(raw_label) != label:
+            raise ValueError(f"{path}: row {row_no}: label {raw_label} outside {{1..4}}")
+        for i, cell in enumerate(row):
+            if i == label_idx:
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValueError(f"{path}: row {row_no}: non-numeric value {cell!r} in column {header[i]!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: row {row_no}: non-finite value {cell!r} in column {header[i]!r}")
+    raise AssertionError("rows rejected in bulk but accepted one by one")
 
 
 def load_dataset(path, label_column: str = "label") -> list[SequenceDataset]:
@@ -256,10 +285,11 @@ def make_windows(ds: SequenceDataset) -> list[WindowSample]:
     if n < 2:
         raise ValueError(f"{ds.name}: need at least 2 frames to window, got {n}")
     F = ds.feature_matrix
-    return [
-        WindowSample(x=np.stack((F[i], F[i + 1])), y=ds.frames[i + 1].label, origin_t=ds.frames[i + 1].t)
-        for i in range(n - 1)
-    ]
+    X = np.empty((n - 1, 2, F.shape[1]))
+    X[:, 0] = F[:-1]
+    X[:, 1] = F[1:]
+    later = ds.frames[1:]
+    return [WindowSample(x=x, y=fr.label, origin_t=fr.t) for x, fr in zip(X, later)]
 
 
 def stack_windows(windows: Sequence[WindowSample]) -> tuple[np.ndarray, np.ndarray]:

@@ -45,20 +45,26 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
 
     def step(self, params, grads) -> None:
         self.t += 1
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            adam_update(p, g, m, v, self.t, self.lr, self.beta1, self.beta2, self.eps)
+        for p, g, m, v, s in zip(params, grads, self.m, self.v, self.scratch):
+            adam_update(p, g, m, v, self.t, self.lr, s, self.beta1, self.beta2, self.eps)
 
 
-def adam_update(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+def adam_update(p, g, m, v, t, lr, scratch, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
     """One in-place Adam update of ``p`` and its moments ``m``, ``v``.
 
     ``t`` is the step count: an int, or a sequence of ints with one entry per
     row of a stack of models (``p.shape[0] == len(t)``), each row then taking
     its own bias correction.  The corrections ``1 - beta**t`` are Python
     floats either way, so a stacked row updates bit for bit like a lone model.
+
+    ``scratch`` is a pair of arrays shaped like ``p`` that receive the
+    intermediates, so that a caller stepping many times allocates them once.
+    The arithmetic is the textbook expression's, operation for operation:
+    ``v += ((1 - beta2) * g) * g`` and ``p -= (lr * m_hat) / (sqrt(v_hat) + eps)``.
     """
     if isinstance(t, int):
         c1, c2 = 1 - beta1**t, 1 - beta2**t
@@ -66,13 +72,21 @@ def adam_update(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
         tail = (1,) * (p.ndim - 1)
         c1 = np.array([1 - beta1**ti for ti in t]).reshape(-1, *tail)
         c2 = np.array([1 - beta2**ti for ti in t]).reshape(-1, *tail)
+    s1, s2 = scratch
     m *= beta1
-    m += (1 - beta1) * g
+    np.multiply(g, 1 - beta1, out=s1)
+    m += s1
     v *= beta2
-    v += (1 - beta2) * g * g
-    m_hat = m / c1
-    v_hat = v / c2
-    p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    np.multiply(g, 1 - beta2, out=s1)
+    s1 *= g
+    v += s1
+    np.divide(m, c1, out=s1)  # m_hat
+    s1 *= lr
+    np.divide(v, c2, out=s2)  # v_hat
+    np.sqrt(s2, out=s2)
+    s2 += eps
+    s1 /= s2
+    p -= s1
 
 
 def sigmoid(z):

@@ -299,6 +299,7 @@ def lstm_train_many(
         pos += a.size
     adam_m = np.zeros_like(flat)
     adam_v = np.zeros_like(flat)
+    adam_s1, adam_s2 = np.empty_like(flat), np.empty_like(flat)
     grad = np.empty_like(flat)
     t = [0] * M
     lr = configs[0].learning_rate
@@ -331,7 +332,7 @@ def lstm_train_many(
             np.concatenate([gr.reshape(G, -1) for gr in grads], axis=1, out=grad[a:b])
             for g in range(a, b):
                 t[g] += 1
-            adam_update(flat[a:b], grad[a:b], adam_m[a:b], adam_v[a:b], t[a:b], lr)
+            adam_update(flat[a:b], grad[a:b], adam_m[a:b], adam_v[a:b], t[a:b], lr, (adam_s1[a:b], adam_s2[a:b]))
             totals[a:b] += loss * length
         for j in range(M):
             traces[j].append(float(totals[j] / n[j]))

@@ -13,12 +13,14 @@ import numpy as np
 
 from ..serialize import array_from_json, array_to_json
 from .common import (
-    Adam,
     N_CLASSES,
     TrainConfig,
+    adam_update,
     cross_entropy_from_logits,
     dropout_mask,
+    flatten_arrays,
     labels_to_indices,
+    log_softmax,
     minibatch_indices,
     one_hot,
     softmax,
@@ -85,12 +87,16 @@ def _check_input(params: MlpParams, X: np.ndarray) -> np.ndarray:
 
 
 def _forward(params: MlpParams, X: np.ndarray, drop1=None, drop2=None):
-    a1 = np.maximum(X @ params.w1 + params.b1, 0.0)
+    a1 = X @ params.w1
+    a1 += params.b1
+    np.maximum(a1, 0.0, out=a1)
     if drop1 is not None:
-        a1 = a1 * drop1
-    a2 = np.maximum(a1 @ params.w2 + params.b2, 0.0)
+        a1 *= drop1
+    a2 = a1 @ params.w2
+    a2 += params.b2
+    np.maximum(a2, 0.0, out=a2)
     if drop2 is not None:
-        a2 = a2 * drop2
+        a2 *= drop2
     logits = a2 @ params.w3 + params.b3
     return logits, {"a1": a1, "a2": a2, "drop1": drop1, "drop2": drop2}
 
@@ -115,29 +121,42 @@ def mlp_loss(params: MlpParams, X: np.ndarray, labels: np.ndarray) -> float:
     return cross_entropy_from_logits(logits, y)
 
 
+def _loss_grad(params: MlpParams, X: np.ndarray, y: np.ndarray, y_hot: np.ndarray, drop1, drop2, grads):
+    """Mean cross-entropy and gradients on checked inputs, written into
+    ``grads``: six arrays shaped like ``params.arrays()``.
+
+    ``y`` holds 0-based class indices and ``y_hot`` their one-hot rows.
+    """
+    B = X.shape[0]
+    d_w1, d_b1, d_w2, d_b2, d_w3, d_b3 = grads
+    logits, cache = _forward(params, X, drop1, drop2)
+    lp = log_softmax(logits)
+    loss = float(-lp[np.arange(B), y].mean())
+
+    dlogits = (np.exp(lp) - y_hot) / B
+    np.matmul(cache["a2"].T, dlogits, out=d_w3)
+    dlogits.sum(axis=0, out=d_b3)
+    da2 = dlogits @ params.w3.T
+    if drop2 is not None:
+        da2 *= drop2
+    np.multiply(da2, cache["a2"] > 0, out=da2)
+    np.matmul(cache["a1"].T, da2, out=d_w2)
+    da2.sum(axis=0, out=d_b2)
+    da1 = da2 @ params.w2.T
+    if drop1 is not None:
+        da1 *= drop1
+    np.multiply(da1, cache["a1"] > 0, out=da1)
+    np.matmul(X.T, da1, out=d_w1)
+    da1.sum(axis=0, out=d_b1)
+    return loss
+
+
 def mlp_loss_grad(params: MlpParams, X: np.ndarray, labels: np.ndarray, drop1=None, drop2=None):
     X = _check_input(params, X)
     y = labels_to_indices(labels, params.n_classes)
-    B = X.shape[0]
-    logits, cache = _forward(params, X, drop1, drop2)
-    loss = cross_entropy_from_logits(logits, y)
-
-    dlogits = (softmax(logits) - one_hot(y, params.n_classes)) / B
-    d_w3 = cache["a2"].T @ dlogits
-    d_b3 = dlogits.sum(axis=0)
-    da2 = dlogits @ params.w3.T
-    if cache["drop2"] is not None:
-        da2 = da2 * cache["drop2"]
-    da2 = da2 * (cache["a2"] > 0)
-    d_w2 = cache["a1"].T @ da2
-    d_b2 = da2.sum(axis=0)
-    da1 = da2 @ params.w2.T
-    if cache["drop1"] is not None:
-        da1 = da1 * cache["drop1"]
-    da1 = da1 * (cache["a1"] > 0)
-    d_w1 = X.T @ da1
-    d_b1 = da1.sum(axis=0)
-    return loss, (d_w1, d_b1, d_w2, d_b2, d_w3, d_b3)
+    grads = tuple(np.empty_like(a) for a in params.arrays())
+    loss = _loss_grad(params, X, y, one_hot(y, params.n_classes), drop1, drop2, grads)
+    return loss, grads
 
 
 def mlp_train(
@@ -147,33 +166,52 @@ def mlp_train(
     hidden=HIDDEN_SIZES,
     return_trace: bool = False,
 ):
-    """Train on flattened windows; labels in 1..4.  Deterministic given the seed."""
+    """Train on flattened windows; labels in 1..4.  Deterministic given the seed.
+
+    The six parameter arrays are views of one flat buffer, as are their
+    gradients, so each step is one Adam update over all of them.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"expected (n, d) inputs, got {X.shape}")
     if X.shape[0] == 0:
         raise ValueError("empty training set")
-    y = np.asarray(labels, dtype=np.int64)
-    labels_to_indices(y)
     n, d = X.shape
+    y = labels_to_indices(labels)
+    if y.shape != (n,):
+        raise ValueError(f"{n} inputs but {y.size} labels")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite values in input")
+    y_hot = one_hot(y, N_CLASSES)
 
     rng = np.random.default_rng(config.seed)
-    params = mlp_init(d, hidden=hidden, seed=int(rng.integers(2**63)))
-    arrays = params.arrays()
-    opt = Adam(arrays, lr=config.learning_rate)
-    h1, h2 = params.b1.shape[0], params.b2.shape[0]
+    init = mlp_init(d, hidden=hidden, seed=int(rng.integers(2**63)))
+    flat = flatten_arrays(init.arrays())
+    grad = np.empty_like(flat)
+    views, grads, pos = [], [], 0
+    for a in init.arrays():
+        views.append(flat[pos : pos + a.size].reshape(a.shape))
+        grads.append(grad[pos : pos + a.size].reshape(a.shape))
+        pos += a.size
+    params = MlpParams(*views)
+    adam_m, adam_v = np.zeros_like(flat), np.zeros_like(flat)
+    scratch = (np.empty_like(flat), np.empty_like(flat))
+    h1, h2 = hidden
+    t = 0
     trace = []
     for _ in range(config.epochs):
         total = 0.0
         for idx in minibatch_indices(n, config.batch_size, rng):
             drop1 = dropout_mask(rng, (len(idx), h1), config.dropout)
             drop2 = dropout_mask(rng, (len(idx), h2), config.dropout)
-            loss, grads = mlp_loss_grad(params, X[idx], y[idx], drop1, drop2)
-            opt.step(arrays, grads)
+            loss = _loss_grad(params, X[idx], y[idx], y_hot[idx], drop1, drop2, grads)
+            t += 1
+            adam_update(flat, grad, adam_m, adam_v, t, config.learning_rate, scratch)
             total += loss * len(idx)
         trace.append(total / n)
     if config.trace_path:
         write_trace_csv(config.trace_path, trace)
+    params = MlpParams(*(v.copy() for v in views))
     if return_trace:
         return params, trace
     return params

@@ -66,27 +66,28 @@ def softmax_predict(params: SoftmaxRegressionParams, x: np.ndarray) -> np.ndarra
 
 
 def softmax_loss(params: SoftmaxRegressionParams, X: np.ndarray, y_idx: np.ndarray, l2: float = 0.0) -> float:
-    return _objective(params.weights, params.bias, np.asarray(X, dtype=np.float64), np.asarray(y_idx), l2)
+    return _objective_lp(params.weights, params.bias, np.asarray(X, dtype=np.float64), np.asarray(y_idx), l2)[0]
 
 
-def _objective(weights, bias, X, y_idx, l2) -> float:
+def _objective_lp(weights, bias, X, y_idx, l2) -> tuple[float, np.ndarray]:
+    """The objective and the (n, C) log-probabilities it was computed from."""
     lp = log_softmax(_logits(weights, bias, X))
     nll = -lp[np.arange(len(y_idx)), y_idx].mean()
-    return float(nll + 0.5 * l2 * (weights**2).sum())
+    return float(nll + 0.5 * l2 * (weights**2).sum()), lp
 
 
-def _gradient(weights, bias, X, y_idx, l2):
-    n = X.shape[0]
-    P = softmax(_logits(weights, bias, X))
-    R = (P - one_hot(y_idx, bias.shape[0])) / n
+def _gradient_from_lp(lp, weights, X, y_hot, l2):
+    """The gradient given the log-probabilities at ``weights``; ``y_hot``
+    holds the one-hot label rows."""
+    R = (np.exp(lp) - y_hot) / X.shape[0]
     return R.T @ X + l2 * weights, R.sum(axis=0)
 
 
 def softmax_loss_grad(params: SoftmaxRegressionParams, X: np.ndarray, y_idx: np.ndarray, l2: float = 0.0):
     X = np.asarray(X, dtype=np.float64)
     y_idx = np.asarray(y_idx)
-    loss = _objective(params.weights, params.bias, X, y_idx, l2)
-    gw, gb = _gradient(params.weights, params.bias, X, y_idx, l2)
+    loss, lp = _objective_lp(params.weights, params.bias, X, y_idx, l2)
+    gw, gb = _gradient_from_lp(lp, params.weights, X, one_hot(y_idx, params.n_classes), l2)
     return loss, (gw, gb)
 
 
@@ -117,25 +118,26 @@ def softmax_train(
 
     weights = np.zeros((n_classes, X.shape[1]))
     bias = np.zeros(n_classes)
-    loss = _objective(weights, bias, X, y, l2)
+    y_hot = one_hot(y, n_classes)
+    loss, lp = _objective_lp(weights, bias, X, y, l2)
     trace = [loss]
     for _ in range(max_iter):
-        gw, gb = _gradient(weights, bias, X, y, l2)
+        gw, gb = _gradient_from_lp(lp, weights, X, y_hot, l2)
         gnorm2 = float((gw**2).sum() + (gb**2).sum())
         if np.sqrt(gnorm2) < tol:
             break
-        # shrink the step until the Armijo decrease condition holds
+        # shrink the step until the Armijo decrease condition holds; the
+        # accepted candidate's log-probabilities feed the next gradient
         step = 1.0
         while step >= MIN_STEP:
-            cand = _objective(weights - step * gw, bias - step * gb, X, y, l2)
+            cand_w, cand_b = weights - step * gw, bias - step * gb
+            cand, cand_lp = _objective_lp(cand_w, cand_b, X, y, l2)
             if cand <= loss - ARMIJO_C * step * gnorm2:
                 break
             step *= 0.5
         if step < MIN_STEP:
             break
-        weights -= step * gw
-        bias -= step * gb
-        loss = cand
+        weights, bias, loss, lp = cand_w, cand_b, cand, cand_lp
         trace.append(loss)
 
     params = SoftmaxRegressionParams(weights=weights, bias=bias)

@@ -98,8 +98,32 @@ class HierarchicalModel:
     fit_seed: int | None = None
 
     def __post_init__(self):
-        if len(self.experts) != self.gmm.k:
-            raise ValueError(f"{len(self.experts)} experts for a {self.gmm.k}-component mixture")
+        """Every part must describe the same k clusters and the same window
+        width, so a hand-edited or mixed-up model file fails at load time."""
+        k = self.gmm.k
+        if len(self.experts) != k:
+            raise ValueError(f"{len(self.experts)} experts for a {k}-component mixture")
+        if self.gate.n_clusters != k or self.gate.params.n_classes != k:
+            raise ValueError(
+                f"gate has n_clusters={self.gate.n_clusters} and {self.gate.params.n_classes} classes"
+                f" for a {k}-component mixture"
+            )
+        ids = [e.cluster_id for e in self.experts]
+        if ids != list(range(k)):
+            raise ValueError(f"expert cluster ids must be 0..{k - 1} in order, got {ids}")
+        p = self.gmm.p
+        if self.gate.params.input_dim != p:
+            raise ValueError(f"gate input is {self.gate.params.input_dim}-dimensional, mixture is {p}-dimensional")
+        for e in self.experts:
+            for name, net in (("expert_before", e.expert_before), ("expert_after", e.expert_after)):
+                if net is not None and 2 * net.input_dim != p:
+                    raise ValueError(
+                        f"cluster {e.cluster_id} {name} reads {net.input_dim}-dim frames, mixture windows are {p}-dim"
+                    )
+        if 2 * self.stats.mean.shape[0] != p or self.stats.std.shape != self.stats.mean.shape:
+            raise ValueError(
+                f"stats mean {self.stats.mean.shape} and std {self.stats.std.shape} do not fit {p}-dim windows"
+            )
 
     def to_json_dict(self) -> dict:
         return {

@@ -61,6 +61,76 @@ class TestAdaBoostTrain:
         assert accs[-1] >= accs[0]
 
 
+def resorting_adaboost(X, y, n_estimators):
+    """Reference SAMME loop that re-sorts every feature in every round and
+    keeps the first strictly better (feature, split)."""
+    classes = tuple(sorted(set(y.tolist())))
+    k, n = len(classes), len(y)
+    w = np.full(n, 1.0 / n)
+    stumps, alphas, errors = [], [], []
+    for _ in range(n_estimators):
+        wc = np.zeros((n, k))
+        wc[np.arange(n), np.searchsorted(classes, y)] = w
+        total = wc.sum(axis=0)
+        best = None
+        for f in range(X.shape[1]):
+            order = np.argsort(X[:, f], kind="stable")
+            xs = X[order, f]
+            splits = np.flatnonzero(xs[:-1] < xs[1:])
+            if splits.size == 0:
+                continue
+            left = np.cumsum(wc[order], axis=0)[splits]
+            right = total - left
+            li, ri = np.argmax(left, axis=1), np.argmax(right, axis=1)
+            rows = np.arange(len(splits))
+            err = 1.0 - (left[rows, li] + right[rows, ri])
+            j = int(np.argmin(err))
+            if best is None or err[j] < best[0]:
+                thr = 0.5 * (xs[splits[j]] + xs[splits[j] + 1])
+                best = (float(err[j]), Stump(f, float(thr), classes[li[j]], classes[ri[j]]))
+        if best is None:
+            break
+        err, stump = best
+        if err >= 1.0 - 1.0 / k:
+            break
+        alpha = np.log((1.0 - err) / max(err, 1e-16)) + np.log(k - 1.0)
+        stumps.append(stump)
+        alphas.append(float(alpha))
+        errors.append(err)
+        if err <= 0.0:
+            break
+        w = w * np.exp(alpha * (stump.predict(X) != y))
+        w = w / w.sum()
+    return stumps, alphas, errors
+
+
+class TestAdaBoostMatchesResortingReference:
+    @pytest.mark.parametrize("n_classes", [2, 4])
+    def test_bit_identical(self, rng, n_classes):
+        # coarse rounding makes many tied values, and column 2 never splits
+        X = np.round(rng.normal(size=(150, 5)), 1)
+        X[:, 2] = 0.5
+        y = rng.integers(1, n_classes + 1, size=150)
+        X[:, 0] += 0.3 * y
+        model = adaboost_train(X, y, n_estimators=40)
+        stumps, alphas, errors = resorting_adaboost(X, y, 40)
+        assert len(model.stumps) == len(stumps) > 1
+        assert model.stumps == tuple(stumps)
+        assert np.array_equal([s.threshold for s in model.stumps], [s.threshold for s in stumps])
+        assert np.array_equal(model.alphas, alphas)
+        assert np.array_equal(model.stump_errors, errors)
+
+    def test_tied_side_vote_goes_to_lower_class(self):
+        # the left side holds one window of class 2 and one of class 1
+        X = np.array([[0.0], [0.0], [1.0], [1.0]])
+        y = np.array([2, 1, 3, 3])
+        model = adaboost_train(X, y, n_estimators=5)
+        stumps, alphas, _ = resorting_adaboost(X, y, 5)
+        assert (model.stumps[0].left_class, model.stumps[0].right_class) == (1, 3)
+        assert model.stumps == tuple(stumps)
+        assert np.array_equal(model.alphas, alphas)
+
+
 class TestAdaBoostPredict:
     def hand_model(self):
         stumps = (
@@ -177,6 +247,13 @@ class TestSsInit:
         state = four_class_init([[0.0], [2.0]])
         assert state.deltas[2] == float("inf")
         assert state.deltas[3] == float("inf")
+
+    @pytest.mark.parametrize("n_labels", [5, 7])
+    def test_label_count_must_match_vectors(self, n_labels):
+        X = np.arange(12.0).reshape(6, 2)
+        y = np.tile([1, 2, 3, 4], 2)[:n_labels]
+        with pytest.raises(ValueError, match=f"6 source vectors but {n_labels} labels"):
+            ss_init(X, y)
 
     def test_missing_classes_listed(self):
         with pytest.raises(ValueError, match=r"\[2, 4\]"):

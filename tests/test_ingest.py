@@ -1,8 +1,17 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from noseda import write_dataset_csv
 from noseda.ingest import (
     DEFAULT_DROP,
+    SensorFrame,
+    SequenceDataset,
     StandardizationStats,
     apply_standardizer,
     fit_standardizer,
@@ -71,6 +80,15 @@ class TestLoadCsv:
             load_csv(p)
         assert str(p) in str(err.value)
         assert "'MQ3'" in str(err.value)
+
+    def test_rows_and_t_count_blank_lines(self, tmp_path):
+        p = tmp_path / "blanks.csv"
+        p.write_text("MQ2,label\n1.0,1\n\n2.0,2\n,\n3.0,3\n")
+        ds = load_csv(p)
+        assert [fr.t for fr in ds.frames] == [0, 2, 4]
+        p.write_text("MQ2,label\n1.0,1\n\n2.0,9\n")
+        with pytest.raises(ValueError, match="row 3: label 9 outside"):
+            load_csv(p)
 
     def test_missing_label_column(self, tmp_path):
         p = tmp_path / "nolabel.csv"
@@ -259,3 +277,100 @@ class TestFewShot:
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             sample_few_shot([], seed=0)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@st.composite
+def sequences(draw, max_len=25):
+    """A dataset with arbitrary finite features (negatives, subnormals,
+    signed zeros), labels, and strictly increasing but gappy ``t``."""
+    n = draw(st.integers(2, max_len))
+    d = draw(st.integers(1, 4))
+    F = draw(arrays(np.float64, (n, d), elements=FINITE))
+    labels = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    t = np.cumsum(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))) - 1
+    frames = tuple(SensorFrame(t=int(t[i]), features=F[i], label=labels[i]) for i in range(n))
+    return SequenceDataset(name="seq", frames=frames, feature_names=tuple(f"f{j}" for j in range(d)))
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestIngestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(sequences())
+    def test_windows_pair_consecutive_frames(self, ds):
+        ws = make_windows(ds)
+        F = ds.feature_matrix
+        assert len(ws) == len(ds) - 1
+        for i, w in enumerate(ws):
+            assert np.array_equal(bits(w.x), bits(np.stack((F[i], F[i + 1]))))
+            assert w.y == ds.frames[i + 1].label
+            assert w.origin_t == ds.frames[i + 1].t
+
+    @settings(max_examples=40, deadline=None)
+    @given(sequences())
+    def test_csv_round_trip_is_bit_exact(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "seq.csv"
+            write_dataset_csv(ds, path)
+            loaded = load_csv(path)
+        assert np.array_equal(bits(loaded.feature_matrix), bits(ds.feature_matrix))
+        assert np.array_equal(loaded.labels, ds.labels)
+        assert [fr.t for fr in loaded.frames] == list(range(len(ds)))
+        assert loaded.feature_names == ds.feature_names
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(2, 12), min_size=1, max_size=4), st.data())
+    def test_windows_never_cross_files(self, sizes, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            for f, n in enumerate(sizes):
+                # column "file" marks every row with its file's number
+                other = data.draw(arrays(np.float64, n, elements=FINITE))
+                rows = [[repr(float(f)), repr(float(other[i])), 1 + i % 4] for i in range(n)]
+                write_csv(Path(tmp) / f"part{f}.csv", ["file", "other", "label"], rows)
+            datasets = load_dataset(tmp)
+        assert [len(ds) for ds in datasets] == sizes
+        for f, ds in enumerate(datasets):
+            ws = make_windows(ds)
+            assert len(ws) == sizes[f] - 1
+            assert all(w.x[0, 0] == w.x[1, 0] == f for w in ws)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.lists(st.booleans(), min_size=8, max_size=8),
+        st.sampled_from(["MQ2", "MQ3", "label"]),
+        st.sampled_from(["oops", "nan", "-inf", ""]),
+        st.booleans(),
+    )
+    def test_first_bad_cell_after_good_rows_is_reported(self, n_good, blanks, column, cell, bad_tail):
+        header = ["MQ2", "MQ3", "label"]
+        lines, row_no = [",".join(header)], 0
+        for i in range(n_good):
+            if blanks[i]:
+                lines.append("")
+                row_no += 1
+            lines.append(f"{0.5 * i},{-1e-310 * i},{1 + i % 4}")
+            row_no += 1
+        bad = ["1.0", "2.0", "3"]
+        bad[header.index(column)] = cell
+        lines.append(",".join(bad))
+        bad_row = row_no + 1
+        if bad_tail:
+            lines.append("x,y,z")  # a later bad row must not be the one reported
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bad.csv"
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError) as err:
+                load_csv(path)
+        msg = str(err.value)
+        assert str(path) in msg
+        assert f"row {bad_row}:" in msg
+        if column != "label":
+            assert f"column {column!r}" in msg
+        else:
+            assert "label" in msg

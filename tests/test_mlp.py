@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from noseda.nets import TrainConfig, mlp_predict, mlp_train
-from noseda.nets.mlp import MlpParams, mlp_init, mlp_predict_labels, mlp_predict_proba
+from noseda.nets.common import Adam, dropout_mask, minibatch_indices
+from noseda.nets.mlp import MlpParams, mlp_init, mlp_loss_grad, mlp_predict_labels, mlp_predict_proba
 
 
 def xor_set(rng, n=200):
@@ -55,3 +56,57 @@ class TestTrain:
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             mlp_train(np.zeros((0, 3)), np.zeros(0), TrainConfig())
+
+    @pytest.mark.parametrize("n_labels", [10, 12])
+    def test_label_count_must_match_inputs(self, rng, n_labels):
+        X = rng.normal(size=(11, 3))
+        y = rng.integers(1, 5, size=n_labels)
+        with pytest.raises(ValueError, match=f"11 inputs but {n_labels} labels"):
+            mlp_train(X, y, TrainConfig(epochs=1))
+
+    def test_non_finite_input_rejected_before_training(self, rng):
+        X = rng.normal(size=(40, 3))
+        X[39, 2] = np.nan  # in the last minibatch of the first epoch
+        with pytest.raises(ValueError, match="non-finite"):
+            mlp_train(X, rng.integers(1, 5, size=40), TrainConfig(epochs=1, batch_size=8))
+
+
+def reference_train(X, y, config, hidden):
+    """Reference trainer: the six parameter arrays stepped one minibatch at a
+    time through the public gradient and Adam; the loop the flat-buffer
+    trainer must reproduce."""
+    rng = np.random.default_rng(config.seed)
+    params = mlp_init(X.shape[1], hidden=hidden, seed=int(rng.integers(2**63)))
+    arrays = params.arrays()
+    opt = Adam(arrays, lr=config.learning_rate)
+    trace = []
+    for _ in range(config.epochs):
+        total = 0.0
+        for idx in minibatch_indices(len(y), config.batch_size, rng):
+            drop1 = dropout_mask(rng, (len(idx), hidden[0]), config.dropout)
+            drop2 = dropout_mask(rng, (len(idx), hidden[1]), config.dropout)
+            loss, grads = mlp_loss_grad(params, X[idx], y[idx], drop1, drop2)
+            opt.step(arrays, grads)
+            total += loss * len(idx)
+        trace.append(total / len(y))
+    return params, trace
+
+
+class TestTrainMatchesReference:
+    # 37 windows in batches of 16: the last batch of every epoch is short
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_bit_identical(self, rng, dropout):
+        X = rng.normal(size=(37, 6))
+        y = rng.integers(1, 5, size=37)
+        cfg = TrainConfig(epochs=4, dropout=dropout, learning_rate=0.01, batch_size=16, seed=11)
+        params, trace = mlp_train(X, y, cfg, hidden=(24, 20), return_trace=True)
+        ref_params, ref_trace = reference_train(X, y, cfg, hidden=(24, 20))
+        assert trace == ref_trace
+        for a, b in zip(params.arrays(), ref_params.arrays()):
+            assert np.array_equal(a, b)
+
+    def test_returned_params_own_their_arrays(self, rng):
+        X, y = xor_set(rng, n=20)
+        params = mlp_train(X, y, TrainConfig(epochs=1, batch_size=8), hidden=(4, 4))
+        for a in params.arrays():
+            assert a.base is None

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -491,3 +492,70 @@ class TestPersistence:
         assert set(obj) == {"gmm", "experts", "gate", "stats", "shot_assignments", "fit_seed"}
         assert obj["fit_seed"] == FAST.seed
         assert len(obj["experts"]) == 2
+
+
+class TestModelConsistency:
+    """``HierarchicalModel`` (and so ``load_model``) rejects files whose parts
+    disagree on the cluster count or the window width."""
+
+    def model_dict(self, k=2, d=3):
+        from noseda.nets.softmax_regression import SoftmaxRegressionParams
+        from noseda.pipeline import GateModel
+
+        gate = GateModel(params=SoftmaxRegressionParams(weights=np.zeros((k, 2 * d)), bias=np.zeros(k)), n_clusters=k)
+        model = HierarchicalModel(
+            gmm=GmmParams(weights=np.full(k, 1.0 / k), means=np.zeros((k, 2 * d)), variances=np.ones((k, 2 * d))),
+            experts=tuple(bias_expert([0.25] * 4, cluster_id=c, d=d) for c in range(k)),
+            gate=gate,
+            stats=StandardizationStats.identity(d),
+            shot_assignments=(0, 1),
+        )
+        return json.loads(model_to_json_bytes(model))
+
+    def load_edited(self, tmp_path, obj):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(obj))
+        return load_model(path)
+
+    def test_unedited_file_loads(self, tmp_path):
+        assert len(self.load_edited(tmp_path, self.model_dict()).experts) == 2
+
+    def test_gate_cluster_count(self, tmp_path):
+        obj = self.model_dict()
+        obj["gate"]["n_clusters"] = 3
+        with pytest.raises(ValueError, match="n_clusters=3"):
+            self.load_edited(tmp_path, obj)
+
+    def test_gate_class_count(self, tmp_path):
+        obj = self.model_dict()
+        params = self.model_dict(k=3)["gate"]["params"]
+        obj["gate"]["params"] = params
+        with pytest.raises(ValueError, match="3 classes for a 2-component mixture"):
+            self.load_edited(tmp_path, obj)
+
+    def test_gate_input_width(self, tmp_path):
+        obj = self.model_dict()
+        obj["gate"]["params"] = self.model_dict(d=2)["gate"]["params"]
+        with pytest.raises(ValueError, match="gate input is 4-dimensional, mixture is 6-dimensional"):
+            self.load_edited(tmp_path, obj)
+
+    @pytest.mark.parametrize("net", ["expert_before", "expert_after"])
+    def test_expert_input_width(self, tmp_path, net):
+        obj = self.model_dict()
+        obj["experts"][1][net] = self.model_dict(d=2)["experts"][1][net]
+        with pytest.raises(ValueError, match=f"cluster 1 {net} reads 2-dim frames, mixture windows are 6-dim"):
+            self.load_edited(tmp_path, obj)
+
+    def test_stats_width(self, tmp_path):
+        obj = self.model_dict()
+        obj["stats"] = self.model_dict(d=2)["stats"]
+        with pytest.raises(ValueError, match=r"stats mean \(2,\) and std \(2,\) do not fit 6-dim windows"):
+            self.load_edited(tmp_path, obj)
+
+    @pytest.mark.parametrize("ids", [[0, 0], [1, 0]])
+    def test_expert_cluster_ids(self, tmp_path, ids):
+        obj = self.model_dict()
+        for e, c in zip(obj["experts"], ids):
+            e["cluster_id"] = c
+        with pytest.raises(ValueError, match=re.escape(f"cluster ids must be 0..1 in order, got {ids}")):
+            self.load_edited(tmp_path, obj)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from noseda.nets import softmax_predict, softmax_train
-from noseda.nets.softmax_regression import softmax_predict_proba
+from noseda.nets.common import log_softmax, one_hot, softmax
+from noseda.nets.softmax_regression import ARMIJO_C, MIN_STEP, softmax_predict_proba
 
 
 class TestTrain:
@@ -52,3 +53,55 @@ class TestTrain:
         p = softmax_predict(params, rng.normal(size=3))
         assert p.shape == (3,)
         assert abs(p.sum() - 1.0) < 1e-9
+
+
+def two_evaluation_train(X, y, n_classes, l2, max_iter, tol=1e-6):
+    """Reference descent loop: logits and log-softmax evaluated afresh for
+    every gradient and every line-search candidate."""
+    def objective(w, b):
+        lp = log_softmax(X @ w.T + b)
+        return float(-lp[np.arange(len(y)), y].mean() + 0.5 * l2 * (w**2).sum())
+
+    w, b = np.zeros((n_classes, X.shape[1])), np.zeros(n_classes)
+    loss = objective(w, b)
+    trace = [loss]
+    for _ in range(max_iter):
+        R = (softmax(X @ w.T + b) - one_hot(y, n_classes)) / X.shape[0]
+        gw, gb = R.T @ X + l2 * w, R.sum(axis=0)
+        gnorm2 = float((gw**2).sum() + (gb**2).sum())
+        if np.sqrt(gnorm2) < tol:
+            break
+        step = 1.0
+        while step >= MIN_STEP:
+            cand = objective(w - step * gw, b - step * gb)
+            if cand <= loss - ARMIJO_C * step * gnorm2:
+                break
+            step *= 0.5
+        if step < MIN_STEP:
+            break
+        w -= step * gw
+        b -= step * gb
+        loss = cand
+        trace.append(loss)
+    return w, b, trace
+
+
+class TestMatchesTwoEvaluationLoop:
+    @pytest.mark.parametrize(
+        "n, d, n_classes, scale, max_iter, seed",
+        [
+            (16, 12, 2, 1.0, 500, 0),  # the gate: 16 shots over k clusters
+            (16, 12, 3, 1.0, 500, 1),
+            (300, 12, 4, 1.0, 60, 2),  # the linear baseline over 4 labels
+            (8, 2, 2, 2.5e6, 500, 1),  # huge inputs: the line search stalls after two steps
+        ],
+    )
+    def test_bit_identical(self, n, d, n_classes, scale, max_iter, seed):
+        X = np.random.default_rng(seed).normal(size=(n, d)) * scale
+        y = np.arange(n) % n_classes
+        params, trace = softmax_train(X, y, n_classes, l2=1e-4, max_iter=max_iter, return_trace=True)
+        w, b, ref_trace = two_evaluation_train(X, y, n_classes, 1e-4, max_iter)
+        assert np.array_equal(np.asarray(trace), np.asarray(ref_trace))
+        assert np.array_equal(params.weights, w) and np.array_equal(params.bias, b)
+        if scale > 1.0:
+            assert len(trace) == 3
