@@ -38,29 +38,6 @@ class AdaBoostModel:
     classes: tuple[int, ...]
     stump_errors: tuple[float, ...]  # weighted training error of each accepted stump
 
-    def to_json_dict(self) -> dict:
-        return {
-            "classes": list(self.classes),
-            "alphas": list(self.alphas),
-            "stump_errors": list(self.stump_errors),
-            "stumps": [
-                {"feature": s.feature, "threshold": s.threshold, "left": s.left_class, "right": s.right_class}
-                for s in self.stumps
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "AdaBoostModel":
-        return cls(
-            stumps=tuple(
-                Stump(feature=s["feature"], threshold=s["threshold"], left_class=s["left"], right_class=s["right"])
-                for s in obj["stumps"]
-            ),
-            alphas=tuple(obj["alphas"]),
-            classes=tuple(obj["classes"]),
-            stump_errors=tuple(obj["stump_errors"]),
-        )
-
 
 @dataclass(frozen=True)
 class _SortedFeatures:

@@ -39,6 +39,7 @@ from .nets.common import TrainConfig
 from .nets.lstm import lstm_predict, lstm_train
 from .nets.mlp import mlp_predict_labels, mlp_train
 from .nets.softmax_regression import softmax_predict_proba, softmax_train
+from .serialize import to_json
 
 log = logging.getLogger(__name__)
 
@@ -165,40 +166,6 @@ class SyntheticDomainSpec:
             **kwargs,
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "class_means": self.class_means.tolist(),
-            "class_scales": self.class_scales.tolist(),
-            "source_priors": self.source_priors.tolist(),
-            "target_priors": self.target_priors.tolist(),
-            "shift": self.shift.tolist(),
-            "source_length": self.source_length,
-            "target_length": self.target_length,
-            "source_subgroups": self.source_subgroups,
-            "target_subgroups": self.target_subgroups,
-            "subgroup_separation": self.subgroup_separation,
-            "subgroup_direction": None if self.subgroup_direction is None else self.subgroup_direction.tolist(),
-            "subgroup_label_permutations": (
-                None
-                if self.subgroup_label_permutations is None
-                else [list(p) for p in self.subgroup_label_permutations]
-            ),
-            "block_length": self.block_length,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "SyntheticDomainSpec":
-        kwargs = dict(obj)
-        return cls.create(
-            class_means=kwargs.pop("class_means"),
-            class_scales=kwargs.pop("class_scales"),
-            source_priors=kwargs.pop("source_priors"),
-            target_priors=kwargs.pop("target_priors"),
-            shift=kwargs.pop("shift", 0.0),
-            **kwargs,
-        )
-
 
 def _generate_domain(spec: SyntheticDomainSpec, name: str, priors, length, subgroups, shifted, rng):
     d = spec.n_features
@@ -290,40 +257,6 @@ class ExperimentConfig:
             seed=self.seed if seed is None else seed,
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "source": list(self.source),
-            "target": list(self.target),
-            "method": self.method,
-            "name": self.name,
-            "k": self.k,
-            "per_class": self.per_class,
-            "runs": self.runs,
-            "evals": self.evals,
-            "seed": self.seed,
-            "output": self.output,
-            "standardize": self.standardize,
-            "label_column": self.label_column,
-            "drop_columns": list(self.drop_columns),
-            "epochs": self.epochs,
-            "dropout": self.dropout,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "l2": self.l2,
-            "n_estimators": self.n_estimators,
-            "eval_mode": self.eval_mode,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ExperimentConfig":
-        obj = dict(obj)
-        for key in ("source", "target"):
-            val = obj[key]
-            obj[key] = (val,) if isinstance(val, str) else tuple(val)
-        if "drop_columns" in obj:
-            obj["drop_columns"] = tuple(obj["drop_columns"])
-        return cls(**obj)
-
 
 @dataclass(frozen=True)
 class ExperimentResult:
@@ -344,47 +277,12 @@ class ExperimentResult:
             if not (0.0 <= a <= 1.0):
                 raise ValueError(f"accuracy {a} outside [0, 1]")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "pair": self.pair,
-            "method": self.method,
-            "file_names": list(self.file_names),
-            "file_accuracies": list(self.file_accuracies),
-            "pair_accuracy": self.pair_accuracy,
-            "file_macro_accuracies": list(self.file_macro_accuracies),
-            "pair_macro_accuracy": self.pair_macro_accuracy,
-            "elapsed_seconds": self.elapsed_seconds,
-            "model_digest": self.model_digest,
-            "config": self.config,
-            "selection": self.selection,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ExperimentResult":
-        return cls(
-            pair=obj["pair"],
-            method=obj["method"],
-            file_names=tuple(obj["file_names"]),
-            file_accuracies=tuple(obj["file_accuracies"]),
-            pair_accuracy=obj["pair_accuracy"],
-            file_macro_accuracies=tuple(obj["file_macro_accuracies"]),
-            pair_macro_accuracy=obj["pair_macro_accuracy"],
-            elapsed_seconds=obj["elapsed_seconds"],
-            model_digest=obj["model_digest"],
-            config=obj["config"],
-            selection=obj.get("selection"),
-        )
-
 
 def _load_domain(paths: Sequence[str], config: ExperimentConfig) -> list[SequenceDataset]:
     datasets: list[SequenceDataset] = []
     for path in paths:
         datasets.extend(load_dataset(path, config.label_column))
     return [harmonize(ds, config.drop_columns) for ds in datasets]
-
-
-def _digest(obj: dict) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def _pool_file_index(test_indices: Sequence[int], file_sizes: Sequence[int]) -> list[int]:
@@ -439,13 +337,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         pair_macro_accuracy=float(np.mean(file_macros)),
         elapsed_seconds=time.perf_counter() - t0,
         model_digest=hashlib.sha256(model_bytes).hexdigest(),
-        config=config.to_json_dict(),
+        config=to_json(config),
         selection=selection,
     )
     if config.output:
         Path(config.output).parent.mkdir(parents=True, exist_ok=True)
         with open(config.output, "w", encoding="utf-8") as fh:
-            json.dump(result.to_json_dict(), fh, indent=2)
+            json.dump(to_json(result), fh, indent=2)
     return result
 
 
@@ -453,6 +351,7 @@ def _run_method(config, source_windows, shots, test_pools, stats):
     """Returns (model_bytes, per-file accuracies, per-file macro accuracies, selection dict)."""
     method = config.method
     pools_Xy = [stack_windows(p) for p in test_pools]
+    file_accs, file_macros, selection = [], [], None
 
     if method == "ours":
         model, report = pipeline.fit_selected(
@@ -471,62 +370,44 @@ def _run_method(config, source_windows, shots, test_pools, stats):
         file_accs = [float(a) for a in per_file.mean(axis=0)]
         # macro accuracy is a selected-model diagnostic, not part of the protocol
         file_macros = [macro_accuracy(pipeline.predict_batch(model, X), y) for X, y in pools_Xy]
-        return pipeline.model_to_json_bytes(model), file_accs, file_macros, report.to_json_dict()
-
-    if method == "ss":
+        selection = to_json(report)
+    elif method == "ss":
         src_X = flatten_windows(source_windows)
         _, src_y = stack_windows(source_windows)
-        state = baselines.ss_init(src_X, src_y)
-        model_bytes = json.dumps(
-            {
-                "pools": {str(c): state.pools[c].tolist() for c in state.pools},
-                "deltas": {str(c): state.deltas[c] for c in state.deltas},
-            },
-            sort_keys=True,
-        ).encode("utf-8")
-        file_accs, file_macros = [], []
-        for pool in test_pools:
+        model = baselines.ss_init(src_X, src_y)
+        for X, y in pools_Xy:
             fresh = baselines.NnSsState(
-                pools={c: state.pools[c].copy() for c in state.pools},
-                deltas=dict(state.deltas),
-                growth=dict(state.growth),
+                pools={c: model.pools[c].copy() for c in model.pools},
+                deltas=dict(model.deltas),
+                growth=dict(model.growth),
             )
-            X, y = stack_windows(pool)
             preds = baselines.ss_classify_stream(fresh, X.reshape(X.shape[0], -1))
             file_accs.append(accuracy(preds, y))
             file_macros.append(macro_accuracy(preds, y))
-        return model_bytes, file_accs, file_macros, None
-
-    # remaining baselines train on source plus the labeled shots
-    train_windows = list(source_windows) + list(shots)
-    X, y = stack_windows(train_windows)
-    flats = X.reshape(X.shape[0], -1)
-
-    if method == "lstm":
-        params = lstm_train(X, y, config.train_config())
-        predict = lambda Xf: lstm_predict(params, Xf)
-        model_bytes = json.dumps(params.to_json_dict(), sort_keys=True).encode("utf-8")
-    elif method == "dnn":
-        params = mlp_train(flats, y, config.train_config())
-        predict = lambda Xf: mlp_predict_labels(params, Xf.reshape(Xf.shape[0], -1))
-        model_bytes = json.dumps(params.to_json_dict(), sort_keys=True).encode("utf-8")
-    elif method == "lr":
-        params = softmax_train(flats, y - 1, 4, l2=config.l2)
-        predict = lambda Xf: np.argmax(softmax_predict_proba(params, Xf.reshape(Xf.shape[0], -1)), axis=1) + 1
-        model_bytes = json.dumps(params.to_json_dict(), sort_keys=True).encode("utf-8")
-    elif method == "adaboost":
-        model = baselines.adaboost_train(flats, y, n_estimators=config.n_estimators)
-        predict = lambda Xf: baselines.adaboost_predict_many(model, Xf.reshape(Xf.shape[0], -1))
-        model_bytes = json.dumps(model.to_json_dict(), sort_keys=True).encode("utf-8")
-    else:  # pragma: no cover - guarded by ExperimentConfig
-        raise ValueError(f"unknown method {method!r}")
-
-    file_accs, file_macros = [], []
-    for Xf, yf in pools_Xy:
-        preds = predict(Xf)
-        file_accs.append(accuracy(preds, yf))
-        file_macros.append(macro_accuracy(preds, yf))
-    return model_bytes, file_accs, file_macros, None
+    else:
+        # the remaining baselines train on source plus the labeled shots
+        train_windows = list(source_windows) + list(shots)
+        X, y = stack_windows(train_windows)
+        flats = X.reshape(X.shape[0], -1)
+        if method == "lstm":
+            model = lstm_train(X, y, config.train_config())
+            predict = lambda Xf: lstm_predict(model, Xf)
+        elif method == "dnn":
+            model = mlp_train(flats, y, config.train_config())
+            predict = lambda Xf: mlp_predict_labels(model, Xf.reshape(Xf.shape[0], -1))
+        elif method == "lr":
+            model = softmax_train(flats, y - 1, 4, l2=config.l2)
+            predict = lambda Xf: np.argmax(softmax_predict_proba(model, Xf.reshape(Xf.shape[0], -1)), axis=1) + 1
+        elif method == "adaboost":
+            model = baselines.adaboost_train(flats, y, n_estimators=config.n_estimators)
+            predict = lambda Xf: baselines.adaboost_predict_many(model, Xf.reshape(Xf.shape[0], -1))
+        else:  # pragma: no cover - guarded by ExperimentConfig
+            raise ValueError(f"unknown method {method!r}")
+        for Xf, yf in pools_Xy:
+            preds = predict(Xf)
+            file_accs.append(accuracy(preds, yf))
+            file_macros.append(macro_accuracy(preds, yf))
+    return pipeline.model_to_json_bytes(model), file_accs, file_macros, selection
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +429,7 @@ def emit_report(results: Sequence[ExperimentResult], out_base) -> tuple[Path, Pa
     table_path = out_base.with_suffix(".md")
 
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump({"results": [r.to_json_dict() for r in results]}, fh, indent=2)
+        json.dump({"results": [to_json(r) for r in results]}, fh, indent=2)
 
     pairs: list[str] = []
     cells: dict[tuple[str, str], float] = {}

@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bench import (
@@ -17,13 +18,14 @@ from .bench import (
     synthesize_domains,
     write_dataset_csv,
 )
+from .serialize import from_json, to_json
 
 
 def _cmd_run(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
-        config = ExperimentConfig.from_json_dict(json.load(fh))
+        config = from_json(ExperimentConfig, json.load(fh))
     if args.out is not None:
-        config = ExperimentConfig.from_json_dict({**config.to_json_dict(), "output": args.out})
+        config = replace(config, output=args.out)
     result = run_experiment(config)
     print(
         f"{result.pair} [{result.method}] accuracy={100 * result.pair_accuracy:.2f}% "
@@ -36,14 +38,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_synth(args) -> int:
     with open(args.spec, encoding="utf-8") as fh:
-        spec = SyntheticDomainSpec.from_json_dict(json.load(fh))
+        spec = SyntheticDomainSpec.create(**json.load(fh))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     source, target = synthesize_domains(spec)
     write_dataset_csv(source, out / "source.csv")
     write_dataset_csv(target, out / "target.csv")
     with open(out / "spec.json", "w", encoding="utf-8") as fh:
-        json.dump(spec.to_json_dict(), fh, indent=2)
+        json.dump(to_json(spec), fh, indent=2)
     print(f"wrote {out / 'source.csv'} ({len(source)} frames) and {out / 'target.csv'} ({len(target)} frames)")
     return 0
 
@@ -56,9 +58,9 @@ def _cmd_report(args) -> int:
         with open(f, encoding="utf-8") as fh:
             obj = json.load(fh)
         if "results" in obj:  # a previously merged report; take its entries
-            results.extend(ExperimentResult.from_json_dict(r) for r in obj["results"])
+            results.extend(from_json(ExperimentResult, r) for r in obj["results"])
         else:
-            results.append(ExperimentResult.from_json_dict(obj))
+            results.append(from_json(ExperimentResult, obj))
     if not results:
         raise FileNotFoundError(f"no result .json files in {in_dir}")
     json_path, table_path = emit_report(results, args.out)

@@ -38,22 +38,6 @@ class GmmParams:
     def p(self) -> int:
         return self.means.shape[1]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "weights": self.weights.tolist(),
-            "means": self.means.tolist(),
-            "variances": self.variances.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "GmmParams":
-        return cls(
-            weights=np.asarray(obj["weights"], dtype=np.float64),
-            means=np.asarray(obj["means"], dtype=np.float64),
-            variances=np.asarray(obj["variances"], dtype=np.float64),
-        )
-
 
 def _check_input(X: np.ndarray, p: int | None = None) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)

@@ -117,16 +117,6 @@ class StandardizationStats:
     def identity(cls, d: int) -> "StandardizationStats":
         return cls(mean=np.zeros(d), std=np.ones(d))
 
-    def to_json_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "StandardizationStats":
-        return cls(
-            mean=np.asarray(obj["mean"], dtype=np.float64),
-            std=np.asarray(obj["std"], dtype=np.float64),
-        )
-
 
 def load_csv(path, label_column: str = "label") -> SequenceDataset:
     """Read one CSV file into a SequenceDataset.

@@ -16,7 +16,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 32
     seed: int = 0
-    trace_path: str | None = None  # per-epoch mean losses written here as CSV
 
     def __post_init__(self):
         if not (0.0 <= self.dropout < 1.0):
@@ -25,13 +24,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-
-
-def write_trace_csv(path, trace) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,loss\n")
-        for i, loss in enumerate(trace, start=1):
-            fh.write(f"{i},{loss!r}\n")
 
 
 class Adam:

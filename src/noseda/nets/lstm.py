@@ -21,7 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..serialize import array_from_json, array_to_json
 from .common import (
     N_CLASSES,
     TrainConfig,
@@ -33,7 +32,6 @@ from .common import (
     one_hot,
     sigmoid,
     uniform_init,
-    write_trace_csv,
 )
 
 HIDDEN_DIM = 4
@@ -63,16 +61,8 @@ class LstmParams:
     def arrays(self) -> tuple[np.ndarray, ...]:
         return (self.wx, self.wh, self.b, self.w_out, self.b_out)
 
-    def to_json_dict(self) -> dict:
-        keys = ("wx", "wh", "b", "w_out", "b_out")
-        return {k: array_to_json(a) for k, a in zip(keys, self.arrays())}
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "LstmParams":
-        return cls(*(array_from_json(obj[k]) for k in ("wx", "wh", "b", "w_out", "b_out")))
-
-
-def lstm_init(input_dim: int, hidden_dim: int = HIDDEN_DIM, n_classes: int = N_CLASSES, seed: int = 0) -> LstmParams:
+def lstm_init(input_dim: int, n_classes: int = N_CLASSES, seed: int = 0) -> LstmParams:
     """Seeded uniform(-1/sqrt(fan_in), +) init for gates; zero head and biases.
 
     The zero head keeps untrained outputs uniform and makes training exactly
@@ -80,10 +70,10 @@ def lstm_init(input_dim: int, hidden_dim: int = HIDDEN_DIM, n_classes: int = N_C
     """
     rng = np.random.default_rng(seed)
     return LstmParams(
-        wx=uniform_init(rng, (input_dim, 4 * hidden_dim), input_dim),
-        wh=uniform_init(rng, (hidden_dim, 4 * hidden_dim), hidden_dim),
-        b=np.zeros(4 * hidden_dim),
-        w_out=np.zeros((hidden_dim, n_classes)),
+        wx=uniform_init(rng, (input_dim, 4 * HIDDEN_DIM), input_dim),
+        wh=uniform_init(rng, (HIDDEN_DIM, 4 * HIDDEN_DIM), HIDDEN_DIM),
+        b=np.zeros(4 * HIDDEN_DIM),
+        w_out=np.zeros((HIDDEN_DIM, n_classes)),
         b_out=np.zeros(n_classes),
     )
 
@@ -238,7 +228,6 @@ def lstm_train_many(
     Xs: Sequence[np.ndarray],
     labels: Sequence[np.ndarray],
     configs: Sequence[TrainConfig],
-    hidden_dim: int = HIDDEN_DIM,
     return_trace: bool = False,
 ):
     """Train one network per (X, labels, config) triple, all in lockstep.
@@ -290,7 +279,7 @@ def lstm_train_many(
     schedule = _lockstep_schedule(n, bs)
 
     rngs = [np.random.default_rng(configs[j].seed) for j in order]
-    inits = [lstm_init(d, hidden_dim=hidden_dim, seed=int(rng.integers(2**63))) for rng in rngs]
+    inits = [lstm_init(d, seed=int(rng.integers(2**63))) for rng in rngs]
     # one flat row of parameters per model, so Adam updates a group in one pass
     flat = np.stack([flatten_arrays(p0.arrays()) for p0 in inits])
     views, pos = [], 0
@@ -323,9 +312,9 @@ def lstm_train_many(
             batch = slice(lo, lo + length)
             drop = None
             if p > 0.0:
-                u = np.empty((G, length, hidden_dim))
+                u = np.empty((G, length, HIDDEN_DIM))
                 for g in range(G):
-                    rngs[a + g].random((length, hidden_dim), out=u[g])
+                    rngs[a + g].random((length, HIDDEN_DIM), out=u[g])
                 drop = (u >= p) / (1.0 - p)
             sub = LstmParams(*(v[a:b] for v in views))
             loss, grads = _loss_grad(sub, X_ep[a:b, batch], y_ep[a:b, batch], y_hot_ep[a:b, batch], drop)
@@ -342,8 +331,6 @@ def lstm_train_many(
     for pos_j, j in enumerate(order):
         params[j] = LstmParams(*(v[pos_j].copy() for v in views))
         out_traces[j] = traces[pos_j]
-        if configs[j].trace_path:
-            write_trace_csv(configs[j].trace_path, out_traces[j])
     if return_trace:
         return params, out_traces
     return params
@@ -353,7 +340,6 @@ def lstm_train(
     X: np.ndarray,
     labels: np.ndarray,
     config: TrainConfig = TrainConfig(),
-    hidden_dim: int = HIDDEN_DIM,
     return_trace: bool = False,
 ):
     """Train from scratch with Adam over shuffled mini-batches.
@@ -362,5 +348,5 @@ def lstm_train(
     seed.  Returns the final-epoch params, plus the per-epoch mean-loss trace
     when ``return_trace`` is set.  The one-model case of ``lstm_train_many``.
     """
-    params, traces = lstm_train_many([X], [labels], [config], hidden_dim, return_trace=True)
+    params, traces = lstm_train_many([X], [labels], [config], return_trace=True)
     return (params[0], traces[0]) if return_trace else params[0]

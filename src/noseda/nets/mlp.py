@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..serialize import array_from_json, array_to_json
 from .common import (
     N_CLASSES,
     TrainConfig,
@@ -25,7 +24,6 @@ from .common import (
     one_hot,
     softmax,
     uniform_init,
-    write_trace_csv,
 )
 
 HIDDEN_SIZES = (256, 256)
@@ -54,14 +52,6 @@ class MlpParams:
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         return (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
-
-    def to_json_dict(self) -> dict:
-        keys = ("w1", "b1", "w2", "b2", "w3", "b3")
-        return {k: array_to_json(a) for k, a in zip(keys, self.arrays())}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "MlpParams":
-        return cls(*(array_from_json(obj[k]) for k in ("w1", "b1", "w2", "b2", "w3", "b3")))
 
 
 def mlp_init(input_dim: int, hidden=HIDDEN_SIZES, n_classes: int = N_CLASSES, seed: int = 0) -> MlpParams:
@@ -209,8 +199,6 @@ def mlp_train(
             adam_update(flat, grad, adam_m, adam_v, t, config.learning_rate, scratch)
             total += loss * len(idx)
         trace.append(total / n)
-    if config.trace_path:
-        write_trace_csv(config.trace_path, trace)
     params = MlpParams(*(v.copy() for v in views))
     if return_trace:
         return params, trace

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..serialize import array_from_json, array_to_json
 from .common import log_softmax, one_hot, softmax
 
 ARMIJO_C = 1e-4
@@ -40,13 +39,6 @@ class SoftmaxRegressionParams:
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         return (self.weights, self.bias)
-
-    def to_json_dict(self) -> dict:
-        return {"weights": array_to_json(self.weights), "bias": array_to_json(self.bias)}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "SoftmaxRegressionParams":
-        return cls(weights=array_from_json(obj["weights"]), bias=array_from_json(obj["bias"]))
 
 
 def _logits(weights: np.ndarray, bias: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -33,6 +33,7 @@ from .nets.softmax_regression import (
     softmax_predict_proba,
     softmax_train,
 )
+from .serialize import from_json, to_json
 
 log = logging.getLogger(__name__)
 
@@ -54,23 +55,6 @@ class ClusterExpert:
     expert_after: LstmParams | None  # fresh net retrained with the assigned shots
     source_label_histogram: np.ndarray  # counts of labels 1..4, shape (4,)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "cluster_id": self.cluster_id,
-            "expert_before": self.expert_before.to_json_dict(),
-            "expert_after": None if self.expert_after is None else self.expert_after.to_json_dict(),
-            "source_label_histogram": [int(v) for v in self.source_label_histogram],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ClusterExpert":
-        return cls(
-            cluster_id=int(obj["cluster_id"]),
-            expert_before=LstmParams.from_json_dict(obj["expert_before"]),
-            expert_after=None if obj["expert_after"] is None else LstmParams.from_json_dict(obj["expert_after"]),
-            source_label_histogram=np.asarray(obj["source_label_histogram"], dtype=np.int64),
-        )
-
 
 @dataclass(frozen=True)
 class GateModel:
@@ -79,13 +63,6 @@ class GateModel:
 
     def predict_proba(self, flats: np.ndarray) -> np.ndarray:
         return softmax_predict_proba(self.params, flats)
-
-    def to_json_dict(self) -> dict:
-        return {"n_clusters": self.n_clusters, "params": self.params.to_json_dict()}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "GateModel":
-        return cls(params=SoftmaxRegressionParams.from_json_dict(obj["params"]), n_clusters=int(obj["n_clusters"]))
 
 
 @dataclass(frozen=True)
@@ -125,27 +102,6 @@ class HierarchicalModel:
                 f"stats mean {self.stats.mean.shape} and std {self.stats.std.shape} do not fit {p}-dim windows"
             )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "gmm": self.gmm.to_json_dict(),
-            "experts": [e.to_json_dict() for e in self.experts],
-            "gate": self.gate.to_json_dict(),
-            "stats": self.stats.to_json_dict(),
-            "shot_assignments": [int(a) for a in self.shot_assignments],
-            "fit_seed": self.fit_seed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "HierarchicalModel":
-        return cls(
-            gmm=GmmParams.from_json_dict(obj["gmm"]),
-            experts=tuple(ClusterExpert.from_json_dict(e) for e in obj["experts"]),
-            gate=GateModel.from_json_dict(obj["gate"]),
-            stats=StandardizationStats.from_json_dict(obj["stats"]),
-            shot_assignments=tuple(int(a) for a in obj["shot_assignments"]),
-            fit_seed=obj.get("fit_seed"),
-        )
-
 
 @dataclass(frozen=True)
 class SelectionReport:
@@ -158,15 +114,6 @@ class SelectionReport:
     def __post_init__(self):
         if self.shot_accuracies and self.selected_run != int(np.argmax(self.shot_accuracies)):
             raise ValueError("selected run must be the shot-accuracy argmax (earliest tie)")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "shot_accuracies": list(self.shot_accuracies),
-            "selected_run": self.selected_run,
-            "eval_accuracies": list(self.eval_accuracies),
-            "mean_test_accuracy": self.mean_test_accuracy,
-            "eval_file_accuracies": [list(row) for row in self.eval_file_accuracies],
-        }
 
 
 def _histogram(labels: np.ndarray) -> np.ndarray:
@@ -517,8 +464,10 @@ def evaluate_objective(
     return ObjectiveValues(source_expert_loss=e1, gate_loss=float(e2), adapted_expert_loss=e3)
 
 
-def model_to_json_bytes(model: HierarchicalModel) -> bytes:
-    return json.dumps(model.to_json_dict(), sort_keys=True).encode("utf-8")
+def model_to_json_bytes(model) -> bytes:
+    """Canonical bytes of a model, or of any dataclass the codec encodes:
+    sorted keys, no indentation.  Digests and model files use them."""
+    return json.dumps(to_json(model), sort_keys=True).encode("utf-8")
 
 
 def model_digest(model: HierarchicalModel) -> str:
@@ -532,4 +481,4 @@ def save_model(model: HierarchicalModel, path) -> None:
 
 def load_model(path) -> HierarchicalModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return HierarchicalModel.from_json_dict(json.load(fh))
+        return from_json(HierarchicalModel, json.load(fh))

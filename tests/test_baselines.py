@@ -13,6 +13,7 @@ from noseda.baselines import (
     ss_classify_stream,
     ss_init,
 )
+from noseda.serialize import from_json, to_json
 
 
 def skewed_checkerboard(rng, heavy=180, light=20):
@@ -188,7 +189,7 @@ class TestAdaBoostPredict:
     def test_json_round_trip(self, rng):
         X, y = skewed_checkerboard(rng, heavy=40, light=10)
         model = adaboost_train(X, y, n_estimators=10)
-        clone = AdaBoostModel.from_json_dict(model.to_json_dict())
+        clone = from_json(AdaBoostModel, to_json(model))
         probe = rng.normal(size=(20, 2))
         assert np.array_equal(adaboost_predict_many(model, probe), adaboost_predict_many(clone, probe))
 

@@ -25,6 +25,7 @@ from noseda.ingest import (
     make_windows,
     sample_few_shot,
 )
+from noseda.serialize import from_json, to_json
 
 from conftest import window
 
@@ -158,7 +159,7 @@ class TestSynthesizeDomains:
             source_subgroups=2, subgroup_separation=3.0,
             subgroup_direction=[1, 0], subgroup_label_permutations=[(0, 1, 2, 3), (3, 2, 1, 0)],
         )
-        clone = SyntheticDomainSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
+        clone = SyntheticDomainSpec.create(**json.loads(json.dumps(to_json(spec))))
         a, b = synthesize_domains(spec), synthesize_domains(clone)
         assert np.array_equal(a[0].feature_matrix, b[0].feature_matrix)
 
@@ -207,8 +208,8 @@ class TestRunExperiment:
         spec = simple_spec(source_length=150, target_length=150, seed=6)
         sp, tp = write_pair(tmp_path, spec)
         cfg = quick_config(sp, tp, "dnn", epochs=3)
-        a = run_experiment(cfg).to_json_dict()
-        b = run_experiment(cfg).to_json_dict()
+        a = to_json(run_experiment(cfg))
+        b = to_json(run_experiment(cfg))
         a.pop("elapsed_seconds")
         b.pop("elapsed_seconds")
         assert a == b
@@ -227,7 +228,7 @@ class TestRunExperiment:
         sp, tp = write_pair(tmp_path, spec)
         out = tmp_path / "res" / "result.json"
         run_experiment(quick_config(sp, tp, "lr", output=str(out)))
-        loaded = ExperimentResult.from_json_dict(json.loads(out.read_text()))
+        loaded = from_json(ExperimentResult, json.loads(out.read_text()))
         assert loaded.method == "lr"
 
     def test_unknown_method_rejected(self):

@@ -88,3 +88,17 @@ def test_report_empty_dir_fails(tmp_path, capsys):
     empty.mkdir()
     assert main(["report", "--in", str(empty), "--out", str(tmp_path / "r")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_misspelled_config_key_names_class_and_key(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"source": "a", "target": "b", "method": "lr", "epoch": 3}))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert "noseda: error: ExperimentConfig: unexpected keys ['epoch']" in capsys.readouterr().err
+
+
+def test_config_without_source_names_class_and_key(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"target": "b", "method": "lr"}))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert "noseda: error: ExperimentConfig: missing keys ['source']" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from noseda.gmm import GmmParams, gmm_assign, gmm_fit, gmm_log_likelihood, gmm_posterior
+from noseda.serialize import from_json, to_json
 
 
 def two_blob_data(rng, n=200, centers=(-5.0, 5.0), d=2):
@@ -171,8 +172,9 @@ class TestLogLikelihood:
 class TestSerialization:
     def test_json_round_trip(self, rng):
         params = gmm_fit(rng.normal(size=(50, 4)), k=2, seed=3)
-        clone = GmmParams.from_json_dict(params.to_json_dict())
+        clone = from_json(GmmParams, to_json(params))
         assert np.array_equal(clone.weights, params.weights)
         assert np.array_equal(clone.means, params.means)
         assert np.array_equal(clone.variances, params.variances)
-        assert clone.to_json_dict()["k"] == 2
+        assert clone.k == 2
+        assert set(to_json(clone)) == {"weights", "means", "variances"}  # k is derived, not stored

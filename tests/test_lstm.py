@@ -7,6 +7,7 @@ import pytest
 from noseda.nets import Adam, TrainConfig, lstm_forward, lstm_predict, lstm_predict_proba, lstm_train
 from noseda.nets.common import dropout_mask, minibatch_indices
 from noseda.nets.lstm import LstmParams, lstm_init, lstm_loss, lstm_loss_grad, lstm_train_many, _forward
+from noseda.serialize import from_json, to_json
 
 
 def constant_params(d=1, h=4, c=4, value=0.5):
@@ -241,21 +242,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 
-    def test_trace_path_writes_csv(self, rng, tmp_path):
-        X, y = separable_windows(rng, n=20)
-        path = tmp_path / "trace.csv"
-        cfg = TrainConfig(epochs=3, dropout=0.0, learning_rate=0.01, batch_size=8, seed=0,
-                          trace_path=str(path))
-        _, trace = lstm_train(X, y, cfg, return_trace=True)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,loss"
-        assert [float(l.split(",")[1]) for l in lines[1:]] == trace
-
 
 class TestSerialization:
     def test_round_trip(self, rng):
         X, y = separable_windows(rng, n=30)
         cfg = TrainConfig(epochs=3, dropout=0.0, learning_rate=0.01, batch_size=8, seed=2)
         params = lstm_train(X, y, cfg)
-        clone = LstmParams.from_json_dict(params.to_json_dict())
+        clone = from_json(LstmParams, to_json(params))
         assert np.array_equal(lstm_predict_proba(clone, X), lstm_predict_proba(params, X))
