@@ -287,7 +287,7 @@ def _load_domain(paths: Sequence[str], config: ExperimentConfig) -> list[Sequenc
 
 def _pool_file_index(test_indices: Sequence[int], file_sizes: Sequence[int]) -> list[int]:
     bounds = np.cumsum(file_sizes)
-    return [int(np.searchsorted(bounds, i, side="right")) for i in test_indices]
+    return np.searchsorted(bounds, np.asarray(test_indices, dtype=np.int64), side="right").tolist()
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -73,6 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="noseda",
         description="Few-shot domain adaptation experiments for gas-sensor time series.",
     )
+    parser.add_argument(
+        "--log-level",
+        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+        default="WARNING",
+        help="the least severe noseda log records printed to stderr (default WARNING)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment from a JSON config")
@@ -94,6 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("noseda").setLevel(args.log_level)
     try:
         return args.func(args)
     except Exception as exc:  # surface a one-line diagnostic, nonzero exit

@@ -15,9 +15,13 @@ shots themselves, then five evaluation refits reporting mean test accuracy.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
+import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -276,7 +280,7 @@ def fit_gate(
     return GateModel(params=softmax_train(flats, y, n_clusters, l2=l2, max_iter=max_iter, tol=tol), n_clusters=n_clusters)
 
 
-def _fit_many(
+def _fit_staged(
     source_windows: Sequence[WindowSample],
     shots: Sequence[WindowSample],
     k: int,
@@ -314,6 +318,114 @@ def _fit_many(
         )
         for gmm, run_experts, gate, route, cfg in zip(gmms, experts, gates, routes, configs)
     ]
+
+
+def _cpu_count() -> int:
+    """Cores this process may run on, or 1 where it cannot fork workers."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _worker_count(n_fits: int) -> int:
+    return min(_cpu_count(), n_fits)
+
+
+def _attempt(fn, *args):
+    """(True, fn(*args)), or (False, the exception it raised)."""
+    try:
+        return True, fn(*args)
+    except Exception as exc:
+        return False, exc
+
+
+def _fork(fn, *args) -> tuple[int, int] | None:
+    """Run ``fn(*args)`` in a forked child that sends its pickled outcome back
+    through a pipe.  Returns (pid, read end), or None if the fork failed."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:  # the child: never return into the caller's stack
+        status = 1
+        try:
+            os.close(read_fd)
+            outcome = _attempt(fn, *args)
+            try:
+                payload = pickle.dumps(outcome)
+            except Exception as exc:  # an unpicklable result or exception
+                payload = pickle.dumps((False, RuntimeError(f"{outcome[1]!r} (not picklable: {exc})")))
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _join(pid: int, read_fd: int):
+    """Read a forked child's outcome, then reap it.  A child exits with
+    status 0 only after writing its whole outcome."""
+    try:
+        with os.fdopen(read_fd, "rb") as fh:
+            payload = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        return False, RuntimeError(f"fit worker {pid} exited with status {code} without a result")
+    return pickle.loads(payload)
+
+
+def _fit_many(
+    source_windows: Sequence[WindowSample],
+    shots: Sequence[WindowSample],
+    k: int,
+    configs: Sequence[TrainConfig],
+    stats: StandardizationStats | None,
+    gate_l2: float,
+) -> list[HierarchicalModel]:
+    """``_fit_staged`` with the configs split across the available cores.
+
+    The configs are cut into ``_worker_count`` contiguous chunks.  This
+    process fits the first; each other chunk is fitted in a forked child,
+    which inherits the inputs and pipes its pickled models back.  Every model
+    is computed exactly as in a single ``_fit_staged`` call over all configs
+    (each slice of a lockstep stack is the lone network's computation), so
+    the result is bit-identical for any worker count.  Every child is read
+    and reaped even when a chunk fails; the exception of the earliest failing
+    chunk, in config order, is raised.  A chunk whose fork fails is fitted
+    here.
+    """
+    n, n_chunks = len(configs), _worker_count(len(configs))
+    chunks = [configs[i * n // n_chunks : (i + 1) * n // n_chunks] for i in range(n_chunks)]
+    fit_chunk = functools.partial(_fit_staged, source_windows, shots, k, stats=stats, gate_l2=gate_l2)
+
+    children = {}  # chunk index -> (pid, read end)
+    try:
+        for i in range(1, n_chunks):
+            child = _fork(fit_chunk, chunks[i])
+            if child is not None:
+                children[i] = child
+        outcomes = [
+            _join(*children.pop(i)) if i in children else _attempt(fit_chunk, chunk) for i, chunk in enumerate(chunks)
+        ]
+    finally:  # only reached with children left when this process was interrupted
+        for pid, read_fd in children.values():
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [model for _, models in outcomes for model in models]
 
 
 def fit(
@@ -377,8 +489,11 @@ def fit_selected(
     All the fits (the ``runs`` selection seeds, plus the ``evals`` refit
     seeds in "refit" mode) run together, stage by stage: the source experts
     of every seed train in one lockstep ``lstm_train_many`` call, and so do
-    the adapted experts.  The result is bit-identical to calling ``fit`` once
-    per seed: the same models, the same report, the same model bytes.
+    the adapted experts.  The seeds are split into contiguous chunks, one per
+    available core (``os.sched_getaffinity``), and every chunk but the first
+    is fitted in a forked worker process.  The result is bit-identical to
+    calling ``fit`` once per seed, for any number of cores: the same models,
+    the same report, the same model bytes.
     """
     if eval_mode not in ("refit", "repredict"):
         raise ValueError(f"unknown eval_mode {eval_mode!r}")
@@ -390,19 +505,21 @@ def fit_selected(
         log.warning("ignoring %d empty test pool(s)", len(test_pools) - len(pools))
 
     n_fits = runs + evals if eval_mode == "refit" else runs
+    log.info("fit_selected fits=%d workers=%d", n_fits, _worker_count(n_fits))
     models = _fit_many(
         source_windows, shots, k, [replace(config, seed=config.seed + r) for r in range(n_fits)], stats, gate_l2
     )
     shot_accs = [float(np.mean(predict_batch(m, shot_X) == shot_y)) for m in models[:runs]]
     best_model = models[int(np.argmax(shot_accs))]
 
-    eval_accs: list[float] = []
-    eval_file_accs: list[tuple[float, ...]] = []
-    for j in range(evals):
-        m = models[runs + j] if eval_mode == "refit" else best_model
-        file_accs = tuple(float(np.mean(predict_batch(m, X) == y)) for X, y in pools)
-        eval_file_accs.append(file_accs)
-        eval_accs.append(float(np.mean(file_accs)) if file_accs else float("nan"))
+    def file_accuracies(m: HierarchicalModel) -> tuple[float, ...]:
+        return tuple(float(np.mean(predict_batch(m, X) == y)) for X, y in pools)
+
+    if eval_mode == "refit":
+        eval_file_accs = [file_accuracies(m) for m in models[runs:]]
+    else:  # the selected model is deterministic: score it once
+        eval_file_accs = [file_accuracies(best_model)] * evals
+    eval_accs = [float(np.mean(f)) if f else float("nan") for f in eval_file_accs]
 
     report = SelectionReport(
         shot_accuracies=tuple(shot_accs),

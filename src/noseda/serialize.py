@@ -4,8 +4,10 @@ A dataclass is encoded field by field under the field's own name; numpy
 arrays become nested lists, tuples become lists, nested dataclasses become
 objects.  Decoding reads the field types from the class's type hints, so a
 file carries no format tags.  The decoder is strict: an unexpected key, a
-missing required key or a non-numeric array raises a ``ValueError`` naming the
-class and the key, before any numpy code sees the data.
+missing required key, a non-numeric array or a scalar of the wrong JSON type
+(``bool`` is not an ``int``; an ``int`` is a valid ``float`` and stays an
+``int``) raises a ``ValueError`` naming the class and the key, before any
+numpy code sees the data.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ import types
 import typing
 
 import numpy as np
+
+
+# The JSON types each scalar hint accepts; bool, an int subclass, only for bool.
+_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
 def to_json(obj):
@@ -79,6 +85,10 @@ def _decode(hint, value, where: str):
         if not isinstance(value, dict):
             raise ValueError(f"{where}: expected a JSON object, got {type(value).__name__}")
         return {key_type(k): _decode(value_type, v, f"{where}[{k!r}]") for k, v in value.items()}
+    if hint in _SCALARS and (
+        not isinstance(value, _SCALARS[hint]) or (isinstance(value, bool) and hint is not bool)
+    ):
+        raise ValueError(f"{where}: expected {hint.__name__}, got {type(value).__name__}")
     return value
 
 

@@ -3,11 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from noseda.bench import (
     ExperimentConfig,
     ExperimentResult,
     SyntheticDomainSpec,
+    _pool_file_index,
     _run_method,
     accuracy,
     beef_pairs,
@@ -79,6 +81,22 @@ class TestAccuracy:
         labels = [1, 1, 2, 2]
         ## class 1 recall 1.0, class 2 recall 0.5
         assert macro_accuracy(preds, labels) == pytest.approx(0.75)
+
+
+class TestPoolFileIndex:
+    def test_hand_counted_owners(self):
+        # files of 3, 0 and 2 windows: indexes 0-2 are file 0's, 3-4 file 2's
+        assert _pool_file_index([0, 2, 3, 4], [3, 0, 2]) == [0, 0, 2, 2]
+        assert _pool_file_index([], [3, 2]) == []
+
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=6), st.data())
+    def test_matches_per_index_search(self, sizes, data):
+        total = sum(sizes)
+        indices = data.draw(st.lists(st.integers(0, max(total - 1, 0)), max_size=20)) if total else []
+        bounds = np.cumsum(sizes)
+        owners = _pool_file_index(indices, sizes)
+        assert owners == [int(np.searchsorted(bounds, i, side="right")) for i in indices]
+        assert all(type(o) is int and sizes[o] > 0 for o in owners)
 
 
 class TestSynthesizeDomains:

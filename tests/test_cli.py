@@ -1,7 +1,10 @@
 import json
+import logging
 
 import numpy as np
+import pytest
 
+from noseda import pipeline
 from noseda.cli import main
 
 
@@ -102,3 +105,40 @@ def test_config_without_source_names_class_and_key(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"target": "b", "method": "lr"}))
     assert main(["run", "--config", str(cfg_path)]) == 1
     assert "noseda: error: ExperimentConfig: missing keys ['source']" in capsys.readouterr().err
+
+
+@pytest.fixture
+def noseda_log_level():
+    """Restore the package logger's level, which ``main`` sets."""
+    yield
+    logging.getLogger("noseda").setLevel(logging.NOTSET)
+
+
+@pytest.mark.parametrize("level, records", [(None, 0), ("INFO", 1)])
+def test_log_level_shows_fit_selected_record(tmp_path, caplog, noseda_log_level, level, records):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_dict()))
+    data_dir = tmp_path / "data"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(data_dir)]) == 0
+    config = {
+        "source": str(data_dir / "source.csv"),
+        "target": str(data_dir / "target.csv"),
+        "method": "ours",
+        "runs": 3,
+        "evals": 2,
+        "epochs": 1,
+    }
+    cfg_path = tmp_path / "ours.json"
+    cfg_path.write_text(json.dumps(config))
+    caplog.clear()
+    argv = ([] if level is None else ["--log-level", level]) + ["run", "--config", str(cfg_path)]
+    assert main(argv) == 0
+    workers = pipeline._worker_count(5)
+    messages = [r.getMessage() for r in caplog.records if r.name == "noseda.pipeline"]
+    assert messages == [f"fit_selected fits=5 workers={workers}"] * records
+
+
+def test_unknown_log_level_is_rejected(capsys):
+    with pytest.raises(SystemExit):
+        main(["--log-level", "VERBOSE", "report", "--in", ".", "--out", "x"])
+    assert "invalid choice: 'VERBOSE'" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 import json
+import logging
 import math
+import os
 import re
 from dataclasses import replace
 
@@ -373,18 +375,28 @@ class TestFitSelected:
         assert report == ref_report
         assert model_to_json_bytes(model) == model_to_json_bytes(ref_model)
 
+    # With two workers, refit mode's 6 fits split 0-2 | 3-5, so run 2 collapses
+    # in this process; repredict mode's 4 fits split 0-1 | 2-3, so in a child.
     @pytest.mark.parametrize("eval_mode", ["refit", "repredict"])
     def test_empty_cluster_in_any_run_is_an_error(self, rng, monkeypatch, eval_mode):
         ws, shots, pool = self.setup_problem(rng, n_per=10)
-        real = pipeline_mod.gmm_assign
-        calls = []
+        real_fit, real_assign = pipeline_mod.gmm_fit, pipeline_mod.gmm_assign
+        collapsing_seed = stage_seed(FAST.seed + 2, "gmm")
+        collapsed = []
 
-        def third_run_collapses(params, flats):
-            calls.append(1)
-            out = real(params, flats)
-            return np.zeros_like(out) if len(calls) == 3 else out
+        def fit_marking_run_2(flats, k, seed):
+            params = real_fit(flats, k=k, seed=seed)
+            if seed == collapsing_seed:
+                collapsed.append(params)
+            return params
 
-        monkeypatch.setattr(pipeline_mod, "gmm_assign", third_run_collapses)
+        def run_2_collapses(params, flats):
+            out = real_assign(params, flats)
+            return np.zeros_like(out) if any(params is p for p in collapsed) else out
+
+        monkeypatch.setattr(pipeline_mod, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(pipeline_mod, "gmm_fit", fit_marking_run_2)
+        monkeypatch.setattr(pipeline_mod, "gmm_assign", run_2_collapses)
         with pytest.raises(ValueError, match="cluster 1 received no source windows"):
             fit_selected(ws, shots, [pool], k=2, runs=4, evals=2, config=FAST, eval_mode=eval_mode)
 
@@ -394,6 +406,111 @@ class TestFitSelected:
                 shot_accuracies=(0.1, 0.9), selected_run=0,
                 eval_accuracies=(0.5,), mean_test_accuracy=0.5, eval_file_accuracies=((0.5,),),
             )
+
+
+class TestSeedParallel:
+    """``fit_selected`` splits its fits across forked workers; the result must
+    not depend on the worker count, and every failure must surface."""
+
+    setup_problem = TestFitSelected.setup_problem
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the children forked during the test."""
+        pids, real = [], os.fork
+
+        def recording_fork():
+            pid = real()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        return pids
+
+    def protocol(self, rng, eval_mode="refit"):
+        ws, shots, pool = self.setup_problem(rng, n_per=15)
+        cfg = replace(FAST, epochs=2, seed=3)
+        pools = [pool[::2], pool[1::2]]
+        return lambda: fit_selected(ws, shots, pools, k=2, runs=4, evals=3, config=cfg, eval_mode=eval_mode)
+
+    @staticmethod
+    def assert_reaped(pids):
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    @pytest.mark.parametrize("eval_mode", ["refit", "repredict"])
+    def test_any_worker_count_gives_the_same_result(self, rng, monkeypatch, caplog, forks, eval_mode):
+        run = self.protocol(rng, eval_mode)
+        n_fits = 7 if eval_mode == "refit" else 4
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(pipeline_mod, "_cpu_count", lambda: workers)
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="noseda"):
+                model, report = run()
+            assert [r.getMessage() for r in caplog.records] == [f"fit_selected fits={n_fits} workers={workers}"]
+            assert len(forks) == workers - 1
+            self.assert_reaped(forks)
+            forks.clear()
+            outputs.append((report, model_to_json_bytes(model)))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_failed_fork_fits_in_process(self, rng, monkeypatch):
+        run = self.protocol(rng)
+        monkeypatch.setattr(pipeline_mod, "_cpu_count", lambda: 1)
+        expected = run()
+
+        def failing_fork():
+            raise OSError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(pipeline_mod, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        model, report = run()
+        assert report == expected[1]
+        assert model_to_json_bytes(model) == model_to_json_bytes(expected[0])
+
+    @staticmethod
+    def failing_chunks(monkeypatch, failures, done_dir):
+        """Make the chunks that start with the given run indexes fail: a
+        message raises ValueError(message); an int makes the worker exit.
+        Every other chunk leaves a file in ``done_dir`` when it finishes."""
+        real, parent = pipeline_mod._fit_staged, os.getpid()
+
+        def fit_chunk(source_windows, shots, k, configs, stats, gate_l2):
+            first = configs[0].seed - FAST.seed
+            failure = failures.get(first)
+            if isinstance(failure, int) and os.getpid() != parent:
+                os._exit(failure)
+            if isinstance(failure, str):
+                raise ValueError(failure)
+            models = real(source_windows, shots, k, configs, stats, gate_l2)
+            (done_dir / str(first)).touch()
+            return models
+
+        monkeypatch.setattr(pipeline_mod, "_fit_staged", fit_chunk)
+
+    @pytest.mark.parametrize(
+        "failures, message",
+        [
+            ({0: "parent chunk", 4: "last chunk"}, "parent chunk"),
+            ({2: "middle chunk", 4: "last chunk"}, "middle chunk"),
+            ({4: "last chunk"}, "last chunk"),
+            ({2: 3}, "exited with status 3 without a result"),
+            ({2: 3, 4: "last chunk"}, "exited with status 3 without a result"),
+        ],
+    )
+    def test_earliest_failing_chunk_is_raised(self, rng, monkeypatch, tmp_path, forks, failures, message):
+        ws, shots, pool = self.setup_problem(rng, n_per=10)
+        monkeypatch.setattr(pipeline_mod, "_cpu_count", lambda: 3)  # 6 fits: runs 0-1 | 2-3 | 4-5
+        self.failing_chunks(monkeypatch, failures, tmp_path)
+        with pytest.raises((ValueError, RuntimeError), match=message):
+            fit_selected(ws, shots, [pool], k=2, runs=4, evals=2, config=FAST)
+        assert len(forks) == 2
+        self.assert_reaped(forks)
+        # every chunk that did not fail ran to the end: no worker was cut short
+        assert sorted(p.name for p in tmp_path.iterdir()) == [str(r) for r in (0, 2, 4) if r not in failures]
 
 
 class TestEquivariance:

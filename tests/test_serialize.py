@@ -304,3 +304,67 @@ def test_parent_spec_reencodes_identically(tmp_path):
     spec_path.write_text(PARENT_SPEC)
     assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "data")]) == 0
     assert (tmp_path / "data" / "spec.json").read_text() == json.dumps(json.loads(PARENT_SPEC), indent=2)
+
+
+# -- scalars must have their field's JSON type ------------------------------
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("epochs", "10", "ExperimentConfig.epochs: expected int, got str"),
+        ("epochs", 10.0, "ExperimentConfig.epochs: expected int, got float"),
+        ("epochs", None, "ExperimentConfig.epochs: expected int, got NoneType"),
+        ("k", True, "ExperimentConfig.k: expected int, got bool"),
+        ("standardize", "no", "ExperimentConfig.standardize: expected bool, got str"),
+        ("standardize", 0, "ExperimentConfig.standardize: expected bool, got int"),
+        ("dropout", "0.2", "ExperimentConfig.dropout: expected float, got str"),
+        ("dropout", False, "ExperimentConfig.dropout: expected float, got bool"),
+        ("method", 3, "ExperimentConfig.method: expected str, got int"),
+        ("name", 3, "ExperimentConfig.name: expected str, got int"),
+        ("drop_columns", ["t", 1], "ExperimentConfig.drop_columns[1]: expected str, got int"),
+    ],
+)
+def test_scalar_of_wrong_type_is_rejected(key, value, message):
+    obj = {"source": "a", "target": "b", "method": "lr"}
+    obj[key] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        from_json(ExperimentConfig, obj)
+
+
+def test_scalar_checks_cover_other_classes():
+    report = {
+        "shot_accuracies": [0.5], "selected_run": "0", "eval_accuracies": [0.5],
+        "mean_test_accuracy": 0.5, "eval_file_accuracies": [[0.5]],
+    }
+    with pytest.raises(ValueError, match=re.escape("SelectionReport.selected_run: expected int, got str")):
+        from_json(SelectionReport, report)
+    stump = {"feature": 0.0, "threshold": 1.0, "left_class": 1, "right_class": 2}
+    with pytest.raises(ValueError, match=re.escape("Stump.feature: expected int, got float")):
+        from_json(Stump, stump)
+
+
+def test_int_for_float_field_stays_int():
+    config = from_json(ExperimentConfig, {"source": "a", "target": "b", "method": "lr", "dropout": 0, "l2": 1})
+    assert type(config.dropout) is int and type(config.l2) is int
+    text = json.dumps(to_json(config))
+    assert '"dropout": 0,' in text and '"l2": 1,' in text
+    assert json.dumps(to_json(from_json(ExperimentConfig, json.loads(text)))) == text
+
+
+def test_non_finite_floats_still_load():
+    report = {
+        "shot_accuracies": [0.5], "selected_run": 0, "eval_accuracies": [],
+        "mean_test_accuracy": float("nan"), "eval_file_accuracies": [],
+    }
+    assert np.isnan(from_json(SelectionReport, json.loads(json.dumps(report))).mean_test_accuracy)
+    obj = json.loads(PARENT_RESULT)
+    obj["elapsed_seconds"] = float("inf")
+    assert from_json(ExperimentResult, json.loads(json.dumps(obj))).elapsed_seconds == float("inf")
+
+
+def test_mistyped_config_value_fails_the_run(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"source": "a", "target": "b", "method": "lr", "epochs": "10"}))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert "noseda: error: ExperimentConfig.epochs: expected int, got str" in capsys.readouterr().err
