@@ -29,15 +29,16 @@ from .bench import (
     synthesize_domains,
     write_dataset_csv,
 )
-from .gmm import GmmParams, gmm_assign, gmm_fit, gmm_log_likelihood, gmm_posterior
+from .gmm import GmmParams, gmm_assign, gmm_fit, gmm_log_likelihood
 from .ingest import (
     DEFAULT_DROP,
     FewShotSplit,
-    SensorFrame,
     SequenceDataset,
     StandardizationStats,
     WindowSample,
+    WindowSet,
     apply_standardizer,
+    as_window_set,
     fit_standardizer,
     flatten_windows,
     harmonize,
@@ -53,12 +54,9 @@ from .nets import (
     SoftmaxRegressionParams,
     TrainConfig,
     grad_check,
-    lstm_forward,
     lstm_predict,
     lstm_train,
-    mlp_predict,
     mlp_train,
-    softmax_predict,
     softmax_train,
 )
 from .pipeline import (
@@ -72,9 +70,7 @@ from .pipeline import (
     fit,
     fit_gate,
     fit_selected,
-    fit_source,
     load_model,
-    predict,
     predict_batch,
     route_few_shot,
     save_model,

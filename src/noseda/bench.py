@@ -22,18 +22,16 @@ import numpy as np
 from . import baselines, pipeline
 from .ingest import (
     DEFAULT_DROP,
-    SensorFrame,
     SequenceDataset,
     StandardizationStats,
-    WindowSample,
+    WindowSet,
     apply_standardizer,
+    as_window_set,
     fit_standardizer,
-    flatten_windows,
     harmonize,
     load_dataset,
     make_windows,
     sample_few_shot,
-    stack_windows,
 )
 from .nets.common import TrainConfig
 from .nets.lstm import lstm_predict, lstm_train
@@ -170,7 +168,7 @@ class SyntheticDomainSpec:
 def _generate_domain(spec: SyntheticDomainSpec, name: str, priors, length, subgroups, shifted, rng):
     d = spec.n_features
     shift = spec.shift if shifted else np.zeros(d)
-    frames = []
+    blocks, labels = [], []
     sub_ids = np.empty(length, dtype=np.int64)
     t = 0
     while t < length:
@@ -185,13 +183,18 @@ def _generate_domain(spec: SyntheticDomainSpec, name: str, priors, length, subgr
         else:
             mu = mu + g * spec.subgroup_separation * spec.subgroup_direction
         n_block = min(spec.block_length, length - t)
-        F = rng.normal(mu, spec.class_scales[c], size=(n_block, d))
-        for i in range(n_block):
-            frames.append(SensorFrame(t=t + i, features=F[i], label=c + 1))
-            sub_ids[t + i] = g
+        blocks.append(rng.normal(mu, spec.class_scales[c], size=(n_block, d)))
+        labels.append(np.full(n_block, c + 1))
+        sub_ids[t : t + n_block] = g
         t += n_block
-    names = tuple(f"g{i}" for i in range(d))
-    return SequenceDataset(name=name, frames=tuple(frames), feature_names=names), sub_ids
+    ds = SequenceDataset(
+        name=name,
+        feature_matrix=np.concatenate(blocks),
+        labels=np.concatenate(labels),
+        t=np.arange(length),
+        feature_names=tuple(f"g{i}" for i in range(d)),
+    )
+    return ds, sub_ids
 
 
 def synthesize_domains(spec: SyntheticDomainSpec, return_latents: bool = False):
@@ -213,8 +216,9 @@ def write_dataset_csv(ds: SequenceDataset, path, label_column: str = "label") ->
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(ds.feature_names) + [label_column])
-        for fr in ds.frames:
-            writer.writerow([repr(float(v)) for v in fr.features] + [fr.label])
+        writer.writerows(
+            [*map(repr, row), label] for row, label in zip(ds.feature_matrix.tolist(), ds.labels.tolist())
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +249,18 @@ class ExperimentConfig:
     eval_mode: str = "refit"
 
     def __post_init__(self):
+        """Range checks, so a bad config fails before any data is read."""
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; supported: {METHODS}")
+        if self.eval_mode not in ("refit", "repredict"):
+            raise ValueError(f"ExperimentConfig.eval_mode must be 'refit' or 'repredict', got {self.eval_mode!r}")
+        for name in ("k", "runs", "evals", "per_class", "epochs", "batch_size", "n_estimators"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"ExperimentConfig.{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"ExperimentConfig.dropout must be in [0, 1), got {self.dropout}")
+        if not self.l2 >= 0:
+            raise ValueError(f"ExperimentConfig.l2 must be >= 0, got {self.l2}")
 
     def train_config(self, seed: int | None = None) -> TrainConfig:
         return TrainConfig(
@@ -285,9 +299,12 @@ def _load_domain(paths: Sequence[str], config: ExperimentConfig) -> list[Sequenc
     return [harmonize(ds, config.drop_columns) for ds in datasets]
 
 
-def _pool_file_index(test_indices: Sequence[int], file_sizes: Sequence[int]) -> list[int]:
-    bounds = np.cumsum(file_sizes)
-    return np.searchsorted(bounds, np.asarray(test_indices, dtype=np.int64), side="right").tolist()
+def _split_targets(files: Sequence[WindowSet], per_class: int, seed: int) -> tuple[WindowSet, list[WindowSet]]:
+    """The few-shot split of all target files' windows together: the shots,
+    and each file's test pool (empty when all its windows became shots)."""
+    split = sample_few_shot(WindowSet.concat(files), per_class=per_class, seed=seed)
+    pool = split.test_pool
+    return split.shots, [pool[pool.file_id == f] for f in range(len(files))]
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -307,23 +324,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     source_sets = [apply_standardizer(ds, stats) for ds in source_sets]
     target_sets = [apply_standardizer(ds, stats) for ds in target_sets]
 
-    source_windows: list[WindowSample] = []
-    for ds in source_sets:
-        source_windows.extend(make_windows(ds))
-
-    target_window_lists = [make_windows(ds) for ds in target_sets]
-    union: list[WindowSample] = [w for lst in target_window_lists for w in lst]
-    split = sample_few_shot(union, per_class=config.per_class, seed=config.seed)
-
-    file_sizes = [len(lst) for lst in target_window_lists]
-    owners = _pool_file_index(split.test_indices, file_sizes)
-    test_pools: list[list[WindowSample]] = [[] for _ in target_sets]
-    for w, owner in zip(split.test_pool, owners):
-        test_pools[owner].append(w)
-
-    model_bytes, file_accs, file_macros, selection = _run_method(
-        config, source_windows, list(split.shots), test_pools, stats
-    )
+    source = WindowSet.concat([make_windows(ds) for ds in source_sets])
+    shots, test_pools = _split_targets([make_windows(ds) for ds in target_sets], config.per_class, config.seed)
+    model_bytes, file_accs, file_macros, selection = _run_method(config, source, shots, test_pools, stats)
 
     file_names = tuple(ds.name for ds in target_sets)
     pair = config.name or f"{'+'.join(Path(p).stem for p in config.source)}-{'+'.join(Path(p).stem for p in config.target)}"
@@ -347,66 +350,76 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-def _run_method(config, source_windows, shots, test_pools, stats):
-    """Returns (model_bytes, per-file accuracies, per-file macro accuracies, selection dict)."""
-    method = config.method
-    pools_Xy = [stack_windows(p) for p in test_pools]
-    file_accs, file_macros, selection = [], [], None
+def _train_ours(config, source, shots, pools, stats):
+    return pipeline.fit_selected(
+        source,
+        shots,
+        pools,
+        k=config.k,
+        runs=config.runs,
+        evals=config.evals,
+        config=config.train_config(),
+        stats=stats,
+        gate_l2=config.l2,
+        eval_mode=config.eval_mode,
+    )
 
-    if method == "ours":
-        model, report = pipeline.fit_selected(
-            source_windows,
-            shots,
-            test_pools,
-            k=config.k,
-            runs=config.runs,
-            evals=config.evals,
-            config=config.train_config(),
-            stats=stats,
-            gate_l2=config.l2,
-            eval_mode=config.eval_mode,
-        )
-        per_file = np.asarray(report.eval_file_accuracies)  # (evals, files)
-        file_accs = [float(a) for a in per_file.mean(axis=0)]
-        # macro accuracy is a selected-model diagnostic, not part of the protocol
-        file_macros = [macro_accuracy(pipeline.predict_batch(model, X), y) for X, y in pools_Xy]
-        selection = to_json(report)
-    elif method == "ss":
-        src_X = flatten_windows(source_windows)
-        _, src_y = stack_windows(source_windows)
-        model = baselines.ss_init(src_X, src_y)
-        for X, y in pools_Xy:
-            fresh = baselines.NnSsState(
-                pools={c: model.pools[c].copy() for c in model.pools},
-                deltas=dict(model.deltas),
-                growth=dict(model.growth),
-            )
-            preds = baselines.ss_classify_stream(fresh, X.reshape(X.shape[0], -1))
-            file_accs.append(accuracy(preds, y))
-            file_macros.append(macro_accuracy(preds, y))
+
+def _ss_stream(state: baselines.NnSsState, pool: WindowSet) -> list[int]:
+    """Each test file streams through its own copy of the source-only state."""
+    fresh = baselines.NnSsState(
+        pools={c: state.pools[c].copy() for c in state.pools}, deltas=dict(state.deltas), growth=dict(state.growth)
+    )
+    return baselines.ss_classify_stream(fresh, pool.flat)
+
+
+def _pooled(train):
+    """A baseline trainer fed the source windows plus the labeled shots."""
+    return lambda config, source, shots, pools, stats: (train(config, WindowSet.concat([source, shots])), None)
+
+
+# method -> (train(config, source, shots, test pools, stats) -> (model, SelectionReport | None),
+#            predict(model, window set) -> labels)
+_METHODS = {
+    "ours": (_train_ours, lambda model, w: pipeline.predict_batch(model, w.X)),
+    "lr": (
+        _pooled(lambda cfg, w: softmax_train(w.flat, w.y - 1, 4, l2=cfg.l2)),
+        lambda model, w: np.argmax(softmax_predict_proba(model, w.flat), axis=1) + 1,
+    ),
+    "adaboost": (
+        _pooled(lambda cfg, w: baselines.adaboost_train(w.flat, w.y, n_estimators=cfg.n_estimators)),
+        lambda model, w: baselines.adaboost_predict_many(model, w.flat),
+    ),
+    "ss": (lambda config, source, *_: (baselines.ss_init(source.flat, source.y), None), _ss_stream),
+    "dnn": (
+        _pooled(lambda cfg, w: mlp_train(w.flat, w.y, cfg.train_config())),
+        lambda model, w: mlp_predict_labels(model, w.flat),
+    ),
+    "lstm": (
+        _pooled(lambda cfg, w: lstm_train(w.X, w.y, cfg.train_config())),
+        lambda model, w: lstm_predict(model, w.X),
+    ),
+}
+
+
+def _run_method(config, source_windows, shots, test_pools, stats):
+    """Returns (model_bytes, per-file accuracies, per-file macro accuracies, selection dict).
+
+    Windows come as WindowSets or WindowSample lists.  ``ours`` takes its
+    per-file accuracies from the selection protocol's evaluations; its macro
+    accuracies, like every baseline's scores, come from predicting each test
+    pool once with the returned model.
+    """
+    train, predict = _METHODS[config.method]
+    pools = [as_window_set(p) for p in test_pools]
+    model, report = train(config, as_window_set(source_windows), as_window_set(shots), pools, stats)
+    preds = [predict(model, p) for p in pools]
+    file_macros = [macro_accuracy(p, pool.y) for p, pool in zip(preds, pools)]
+    if report is None:
+        file_accs, selection = [accuracy(p, pool.y) for p, pool in zip(preds, pools)], None
     else:
-        # the remaining baselines train on source plus the labeled shots
-        train_windows = list(source_windows) + list(shots)
-        X, y = stack_windows(train_windows)
-        flats = X.reshape(X.shape[0], -1)
-        if method == "lstm":
-            model = lstm_train(X, y, config.train_config())
-            predict = lambda Xf: lstm_predict(model, Xf)
-        elif method == "dnn":
-            model = mlp_train(flats, y, config.train_config())
-            predict = lambda Xf: mlp_predict_labels(model, Xf.reshape(Xf.shape[0], -1))
-        elif method == "lr":
-            model = softmax_train(flats, y - 1, 4, l2=config.l2)
-            predict = lambda Xf: np.argmax(softmax_predict_proba(model, Xf.reshape(Xf.shape[0], -1)), axis=1) + 1
-        elif method == "adaboost":
-            model = baselines.adaboost_train(flats, y, n_estimators=config.n_estimators)
-            predict = lambda Xf: baselines.adaboost_predict_many(model, Xf.reshape(Xf.shape[0], -1))
-        else:  # pragma: no cover - guarded by ExperimentConfig
-            raise ValueError(f"unknown method {method!r}")
-        for Xf, yf in pools_Xy:
-            preds = predict(Xf)
-            file_accs.append(accuracy(preds, yf))
-            file_macros.append(macro_accuracy(preds, yf))
+        file_accs = [float(a) for a in np.asarray(report.eval_file_accuracies).mean(axis=0)]
+        selection = to_json(report)
     return pipeline.model_to_json_bytes(model), file_accs, file_macros, selection
 
 

@@ -62,14 +62,6 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(a - m[:, None]).sum(axis=1))
 
 
-def gmm_posterior(params: GmmParams, x: np.ndarray) -> np.ndarray:
-    """Responsibilities p(component | x), log-sum-exp stabilized."""
-    X = _check_input(x, params.p)
-    lj = _log_joint(params, X)
-    resp = np.exp(lj - _logsumexp_rows(lj)[:, None])
-    return resp[0] if np.asarray(x).ndim == 1 else resp
-
-
 def gmm_assign(params: GmmParams, X: np.ndarray) -> np.ndarray:
     """Hard cluster ids: argmax posterior, ties to the lower component id."""
     X = _check_input(X, params.p)

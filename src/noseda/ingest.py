@@ -1,9 +1,10 @@
 """Loading, harmonizing, standardizing, windowing and splitting sensor CSV data.
 
 A dataset is an ordered sequence of per-minute sensor frames with a 4-class
-quality label.  Classification operates on length-2 windows labeled by their
-last timestep, so every file of N frames yields N-1 windows.  Windows never
-cross file boundaries.
+quality label, held as columns.  Classification operates on length-2 windows
+labeled by their last timestep, so every file of N frames yields N-1
+windows, held as arrays in a ``WindowSet``.  Windows never cross file
+boundaries.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -30,45 +30,39 @@ STD_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
-class SensorFrame:
-    """One per-minute reading: minute index, gas-channel vector, quality label."""
-
-    t: int
-    features: np.ndarray
-    label: int
-
-
-@dataclass(frozen=True)
 class SequenceDataset:
+    """One recording as columns: row i is the reading at minute ``t[i]``."""
+
     name: str
-    frames: tuple[SensorFrame, ...]
+    feature_matrix: np.ndarray  # (N, d) float64 gas-channel readings
+    labels: np.ndarray  # (N,) int64 quality labels in 1..4
+    t: np.ndarray  # (N,) int64 minute indexes, strictly increasing
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
-        d = len(self.feature_names)
-        prev_t = None
-        for i, fr in enumerate(self.frames):
-            if fr.features.shape != (d,):
-                raise ValueError(
-                    f"{self.name}: frame {i} has {fr.features.shape[0] if fr.features.ndim == 1 else fr.features.shape} features, expected {d}"
-                )
-            if fr.label not in CLASS_LABELS:
-                raise ValueError(f"{self.name}: frame {i} label {fr.label} not in {CLASS_LABELS}")
-            if prev_t is not None and fr.t <= prev_t:
-                raise ValueError(f"{self.name}: frames not ordered by t at index {i}")
-            prev_t = fr.t
+        # one layout for every dataset: reductions over the rows sum in memory
+        # order, so a column slice must not change their bits
+        F = np.ascontiguousarray(self.feature_matrix, dtype=np.float64)
+        labels, t, d = np.asarray(self.labels), np.asarray(self.t), len(self.feature_names)
+        if F.ndim != 2 or F.shape[1] != d:
+            raise ValueError(f"{self.name}: feature matrix of shape {F.shape}, expected {d} columns")
+        if not F.shape[0] == len(labels) == len(t):
+            raise ValueError(
+                f"{self.name}: columns of different length: {F.shape[0]} feature rows,"
+                f" {len(labels)} labels, {len(t)} times"
+            )
+        bad = np.flatnonzero(~np.isin(labels, CLASS_LABELS))
+        if bad.size:
+            raise ValueError(f"{self.name}: frame {bad[0]} label {labels[bad[0]]} not in {CLASS_LABELS}")
+        unordered = np.flatnonzero(np.diff(t) <= 0)
+        if unordered.size:
+            raise ValueError(f"{self.name}: frames not ordered by t at index {unordered[0] + 1}")
+        object.__setattr__(self, "feature_matrix", F)
+        object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
+        object.__setattr__(self, "t", t.astype(np.int64, copy=False))
 
     def __len__(self) -> int:
-        return len(self.frames)
-
-    @cached_property
-    def feature_matrix(self) -> np.ndarray:
-        """(N, d) float64 matrix of all frame features."""
-        return np.asarray([fr.features for fr in self.frames], dtype=np.float64)
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        return np.asarray([fr.label for fr in self.frames], dtype=np.int64)
+        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -85,19 +79,90 @@ class WindowSample:
         if self.y not in CLASS_LABELS:
             raise ValueError(f"window label {self.y} not in {CLASS_LABELS}")
 
-    @cached_property
+
+@dataclass(frozen=True, eq=False)
+class WindowSet:
+    """n windows as arrays.  Window i stacks two consecutive frames in
+    ``X[i]``, carries the label ``y[i]`` and minute ``origin_t[i]`` of the
+    later one, and came from input file ``file_id[i]``.
+
+    An integer index gives a ``WindowSample`` and iteration yields them, so
+    code written for lists of windows keeps working; a slice, mask or index
+    array gives a ``WindowSet``.
+    """
+
+    X: np.ndarray  # (n, 2, d)
+    y: np.ndarray  # (n,) int64
+    origin_t: np.ndarray  # (n,) int64
+    file_id: np.ndarray  # (n,) int64
+
+    def __post_init__(self):
+        n = len(self.y)
+        if self.X.ndim != 3 or self.X.shape[:2] != (n, 2) or len(self.origin_t) != n or len(self.file_id) != n:
+            raise ValueError(
+                f"window set columns disagree: X {self.X.shape}, {n} labels,"
+                f" {len(self.origin_t)} origin times, {len(self.file_id)} file ids"
+            )
+        if not np.all(np.isin(self.y, CLASS_LABELS)):
+            raise ValueError(f"window labels must be in {CLASS_LABELS}")
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    @property
     def flat(self) -> np.ndarray:
-        """Flattened (2d,) feature vector, the clustering/gating representation."""
-        return self.x.ravel()
+        """(n, 2d) view of the windows, the clustering/gating representation."""
+        return self.X.reshape(len(self), 2 * self.X.shape[2])
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return WindowSample(x=self.X[index], y=int(self.y[index]), origin_t=int(self.origin_t[index]))
+        if not isinstance(index, slice):
+            index = np.asarray(index)
+            if index.dtype != bool:
+                index = index.astype(np.intp)
+        return WindowSet(self.X[index], self.y[index], self.origin_t[index], self.file_id[index])
+
+    def __iter__(self):
+        for x, y, t in zip(self.X, self.y.tolist(), self.origin_t.tolist()):
+            yield WindowSample(x=x, y=y, origin_t=t)
+
+    @classmethod
+    def concat(cls, sets: Sequence["WindowSet"]) -> "WindowSet":
+        """Join sets end to end; the file ids number the sets in order."""
+        return cls(
+            X=np.concatenate([s.X for s in sets]),
+            y=np.concatenate([s.y for s in sets]),
+            origin_t=np.concatenate([s.origin_t for s in sets]),
+            file_id=np.repeat(np.arange(len(sets)), [len(s) for s in sets]),
+        )
+
+
+Windows = WindowSet | Sequence[WindowSample]
+
+
+def as_window_set(windows: Windows) -> WindowSet:
+    """A WindowSet as it is, or a nonempty WindowSample sequence stacked once
+    (all in file 0).  Every public call that takes windows converts here."""
+    if isinstance(windows, WindowSet):
+        return windows
+    n = len(windows)
+    if n == 0:
+        raise ValueError("no windows")
+    return WindowSet(
+        X=np.stack([w.x for w in windows]),
+        y=np.fromiter((w.y for w in windows), dtype=np.int64, count=n),
+        origin_t=np.fromiter((w.origin_t for w in windows), dtype=np.int64, count=n),
+        file_id=np.zeros(n, dtype=np.int64),
+    )
 
 
 @dataclass(frozen=True)
 class FewShotSplit:
-    shots: tuple[WindowSample, ...]
-    test_pool: tuple[WindowSample, ...]
+    shots: WindowSet
+    test_pool: WindowSet
     n_classes: int
-    # Positions of shots / test windows in the input list, for bookkeeping
-    # (e.g. mapping test windows back to their source file).
+    # Positions of shots / test windows in the input, in the order above.
     shot_indices: tuple[int, ...]
     test_indices: tuple[int, ...]
 
@@ -151,16 +216,15 @@ def load_csv(path, label_column: str = "label") -> SequenceDataset:
     if parsed is None:
         _raise_first_bad_row(path, header, label_idx, rows, row_nos)
     features, labels = parsed
-    frames = tuple(
-        SensorFrame(t=row_no - 1, features=f, label=label) for row_no, f, label in zip(row_nos, features, labels)
-    )
     feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-    return SequenceDataset(name=path.stem, frames=frames, feature_names=feature_names)
+    return SequenceDataset(
+        name=path.stem, feature_matrix=features, labels=labels, t=np.asarray(row_nos) - 1, feature_names=feature_names
+    )
 
 
 def _parse_rows(rows: list[list[str]], n_cols: int, label_idx: int):
-    """All cells at once: the (N, d) feature matrix and the labels as Python
-    ints, or None when any row is malformed (the caller then finds it)."""
+    """All cells at once: the (N, d) feature matrix and the (N,) labels, or
+    None when any row is malformed (the caller then finds it)."""
     if any(len(row) != n_cols for row in rows):
         return None
     try:
@@ -172,7 +236,7 @@ def _parse_rows(rows: list[list[str]], n_cols: int, label_idx: int):
     features = np.delete(cells, label_idx, axis=1)
     if not (np.all(np.isin(raw_labels, CLASS_LABELS)) and np.all(np.isfinite(features))):
         return None
-    return features, raw_labels.astype(np.int64).tolist()
+    return features, raw_labels.astype(np.int64)
 
 
 def _raise_first_bad_row(path: Path, header: list[str], label_idx: int, rows, row_nos) -> None:
@@ -230,10 +294,7 @@ def harmonize(ds: SequenceDataset, drop: Sequence[str] = DEFAULT_DROP) -> Sequen
     absent = sorted(drop_lower - {n.lower() for n in ds.feature_names})
     log.info("%s: dropped columns %s (absent: %s)", ds.name, dropped, absent)
     names = tuple(ds.feature_names[i] for i in keep)
-    frames = tuple(
-        SensorFrame(t=fr.t, features=fr.features[keep], label=fr.label) for fr in ds.frames
-    )
-    return SequenceDataset(name=ds.name, frames=frames, feature_names=names)
+    return replace(ds, feature_matrix=ds.feature_matrix[:, keep], feature_names=names)
 
 
 def fit_standardizer(data) -> StandardizationStats:
@@ -259,17 +320,14 @@ def apply_standardizer(ds: SequenceDataset, stats: StandardizationStats) -> Sequ
     d = len(ds.feature_names)
     if stats.mean.shape != (d,):
         raise ValueError(f"standardizer is {stats.mean.shape[0]}-dimensional, dataset has d={d}")
-    Z = (ds.feature_matrix - stats.mean) / stats.std
-    frames = tuple(
-        SensorFrame(t=fr.t, features=Z[i], label=fr.label) for i, fr in enumerate(ds.frames)
-    )
-    return SequenceDataset(name=ds.name, frames=frames, feature_names=ds.feature_names)
+    return replace(ds, feature_matrix=(ds.feature_matrix - stats.mean) / stats.std)
 
 
-def make_windows(ds: SequenceDataset) -> list[WindowSample]:
+def make_windows(ds: SequenceDataset) -> WindowSet:
     """Slice a sequence into N-1 overlapping 2-frame windows.
 
-    Window i stacks frames (i, i+1) and carries the label of frame i+1.
+    Window i stacks frames (i, i+1) and carries the label and ``t`` of frame
+    i+1.
     """
     n = len(ds)
     if n < 2:
@@ -278,57 +336,50 @@ def make_windows(ds: SequenceDataset) -> list[WindowSample]:
     X = np.empty((n - 1, 2, F.shape[1]))
     X[:, 0] = F[:-1]
     X[:, 1] = F[1:]
-    later = ds.frames[1:]
-    return [WindowSample(x=x, y=fr.label, origin_t=fr.t) for x, fr in zip(X, later)]
+    return WindowSet(X=X, y=ds.labels[1:], origin_t=ds.t[1:], file_id=np.zeros(n - 1, dtype=np.int64))
 
 
-def stack_windows(windows: Sequence[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack WindowSamples into an (n, 2, d) feature array and an (n,) label array."""
-    if not windows:
-        raise ValueError("no windows to stack")
-    X = np.stack([w.x for w in windows])
-    y = np.asarray([w.y for w in windows], dtype=np.int64)
-    return X, y
+def stack_windows(windows: Windows) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 2, d) feature array and (n,) label array of the windows."""
+    ws = as_window_set(windows)
+    return ws.X, ws.y
 
 
-def flatten_windows(windows: Sequence[WindowSample]) -> np.ndarray:
+def flatten_windows(windows: Windows) -> np.ndarray:
     """(n, 2d) matrix of flattened windows."""
-    if not windows:
-        raise ValueError("no windows to flatten")
-    return np.stack([w.flat for w in windows])
+    return as_window_set(windows).flat
 
 
-def sample_few_shot(
-    windows: Sequence[WindowSample], per_class: int = 4, seed: int = 0
-) -> FewShotSplit:
+def sample_few_shot(windows: Windows, per_class: int = 4, seed: int = 0) -> FewShotSplit:
     """Draw ``per_class`` labeled windows per present class, uniformly without
     replacement; everything else becomes the held-out test pool.
 
     Classes with fewer than ``per_class`` windows contribute all of theirs
     (logged).  Deterministic under a fixed seed.
     """
-    if not windows:
+    if len(windows) == 0:
         raise ValueError("cannot split an empty window list")
     if per_class < 1:
         raise ValueError(f"per_class must be >= 1, got {per_class}")
+    ws = as_window_set(windows)
     rng = np.random.default_rng(seed)
-    labels = np.asarray([w.y for w in windows])
-    classes = sorted(set(labels.tolist()))
+    classes = np.unique(ws.y).tolist()
     shot_idx: list[int] = []
     for c in classes:
-        idx = np.flatnonzero(labels == c)
+        idx = np.flatnonzero(ws.y == c)
         if idx.size < per_class:
             log.warning("class %d has only %d windows (< %d); taking all", c, idx.size, per_class)
             chosen = idx
         else:
             chosen = rng.choice(idx, size=per_class, replace=False)
-        shot_idx.extend(sorted(int(i) for i in chosen))
-    shot_set = set(shot_idx)
-    test_idx = [i for i in range(len(windows)) if i not in shot_set]
+        shot_idx.extend(sorted(chosen.tolist()))
+    is_test = np.ones(len(ws), dtype=bool)
+    is_test[shot_idx] = False
+    test_idx = np.flatnonzero(is_test)
     return FewShotSplit(
-        shots=tuple(windows[i] for i in shot_idx),
-        test_pool=tuple(windows[i] for i in test_idx),
+        shots=ws[shot_idx],
+        test_pool=ws[test_idx],
         n_classes=len(classes),
         shot_indices=tuple(shot_idx),
-        test_indices=tuple(test_idx),
+        test_indices=tuple(test_idx.tolist()),
     )

@@ -5,7 +5,6 @@ from .gradcheck import grad_check, lstm_objective, mlp_objective, softmax_object
 from .lstm import (
     HIDDEN_DIM,
     LstmParams,
-    lstm_forward,
     lstm_init,
     lstm_loss,
     lstm_loss_grad,
@@ -18,7 +17,6 @@ from .mlp import (
     mlp_init,
     mlp_loss,
     mlp_loss_grad,
-    mlp_predict,
     mlp_predict_labels,
     mlp_predict_proba,
     mlp_train,
@@ -27,7 +25,6 @@ from .softmax_regression import (
     SoftmaxRegressionParams,
     softmax_loss,
     softmax_loss_grad,
-    softmax_predict,
     softmax_predict_proba,
     softmax_train,
 )
@@ -37,7 +34,6 @@ __all__ = [
     "TrainConfig",
     "HIDDEN_DIM",
     "LstmParams",
-    "lstm_forward",
     "lstm_init",
     "lstm_loss",
     "lstm_loss_grad",
@@ -48,14 +44,12 @@ __all__ = [
     "mlp_init",
     "mlp_loss",
     "mlp_loss_grad",
-    "mlp_predict",
     "mlp_predict_labels",
     "mlp_predict_proba",
     "mlp_train",
     "SoftmaxRegressionParams",
     "softmax_loss",
     "softmax_loss_grad",
-    "softmax_predict",
     "softmax_predict_proba",
     "softmax_train",
     "grad_check",

@@ -116,19 +116,6 @@ def _forward(params: LstmParams, X: np.ndarray, drop: np.ndarray | None = None):
     return np.exp(log_probs), cache
 
 
-def lstm_forward(params: LstmParams, window: np.ndarray, dropout_mask: np.ndarray | None = None) -> np.ndarray:
-    """Class-probability 4-vector for one 2 x d window.
-
-    ``dropout_mask``, when given, is an already-scaled multiplicative mask on
-    the final hidden state (training use only).
-    """
-    window = np.asarray(window, dtype=np.float64)
-    X = _check_windows(params, window[None])
-    drop = None if dropout_mask is None else np.asarray(dropout_mask)[None]
-    probs, _ = _forward(params, X, drop)
-    return probs[0]
-
-
 def lstm_predict_proba(params: LstmParams, X: np.ndarray) -> np.ndarray:
     X = _check_windows(params, X)
     probs, _ = _forward(params, X)

@@ -96,11 +96,6 @@ def mlp_predict_proba(params: MlpParams, X: np.ndarray) -> np.ndarray:
     return softmax(logits)
 
 
-def mlp_predict(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Class-probability vector for one flattened window."""
-    return mlp_predict_proba(params, np.asarray(x)[None])[0]
-
-
 def mlp_predict_labels(params: MlpParams, X: np.ndarray) -> np.ndarray:
     return np.argmax(mlp_predict_proba(params, X), axis=1) + 1
 

@@ -52,11 +52,6 @@ def softmax_predict_proba(params: SoftmaxRegressionParams, X: np.ndarray) -> np.
     return softmax(_logits(params.weights, params.bias, X))
 
 
-def softmax_predict(params: SoftmaxRegressionParams, x: np.ndarray) -> np.ndarray:
-    """Class-probability vector for a single feature vector."""
-    return softmax_predict_proba(params, np.asarray(x)[None])[0]
-
-
 def softmax_loss(params: SoftmaxRegressionParams, X: np.ndarray, y_idx: np.ndarray, l2: float = 0.0) -> float:
     return _objective_lp(params.weights, params.bias, np.asarray(X, dtype=np.float64), np.asarray(y_idx), l2)[0]
 

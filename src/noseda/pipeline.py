@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .gmm import GmmParams, gmm_assign, gmm_fit
-from .ingest import StandardizationStats, WindowSample, flatten_windows, stack_windows
+from .ingest import StandardizationStats, Windows, WindowSet, as_window_set
 from .nets.common import TrainConfig
 from .nets.lstm import LstmParams, lstm_loss, lstm_predict, lstm_predict_proba, lstm_train_many
 from .nets.softmax_regression import (
@@ -157,40 +157,21 @@ def _train_source_experts(
     ]
 
 
-def _train_cluster_experts(
-    windows: Sequence[WindowSample], assignment: np.ndarray, k: int, config: TrainConfig
-) -> list[ClusterExpert]:
-    members = _cluster_members(assignment, k)
-    X, y = stack_windows(windows)
-    return _train_source_experts(X, y, [members], [config])[0]
-
-
-def _fit_source_many(source_windows: Sequence[WindowSample], k: int, configs: Sequence[TrainConfig]):
+def _source_stages(source: WindowSet, k: int, configs: Sequence[TrainConfig]):
     """Stages 1-2 for several seeds: one GMM per config, then all k experts of
     every config in one lockstep call.  Returns (gmms, members, experts), one
-    entry per config, and the stacked source (X, y)."""
-    flats = flatten_windows(source_windows)
-    if flats.shape[0] < k:
-        raise ValueError(f"need at least k={k} source windows, got {flats.shape[0]}")
+    entry per config."""
+    flats = source.flat
+    if len(source) < k:
+        raise ValueError(f"need at least k={k} source windows, got {len(source)}")
     gmms, members = [], []
     for cfg in configs:
         gmms.append(gmm_fit(flats, k=k, seed=stage_seed(cfg.seed, "gmm")))
         members.append(_cluster_members(gmm_assign(gmms[-1], flats), k))
-    X, y = stack_windows(source_windows)
-    return gmms, members, _train_source_experts(X, y, members, configs), (X, y)
+    return gmms, members, _train_source_experts(source.X, source.y, members, configs)
 
 
-def fit_source(source_windows: Sequence[WindowSample], k: int = 2, config: TrainConfig = TrainConfig()):
-    """Cluster the source and train the per-cluster experts (pre-adaptation).
-
-    Returns (GmmParams, experts); each expert carries its cluster's label
-    histogram for the routing fallback.
-    """
-    gmms, _, experts, _ = _fit_source_many(source_windows, k, [config])
-    return gmms[0], experts[0]
-
-
-def route_few_shot(experts: Sequence[ClusterExpert], shots: Sequence[WindowSample]) -> tuple[int, ...]:
+def route_few_shot(experts: Sequence[ClusterExpert], shots: Windows) -> tuple[int, ...]:
     """Assign each labeled shot to a cluster.
 
     Primary rule: the expert giving the shot's true label the highest
@@ -198,20 +179,14 @@ def route_few_shot(experts: Sequence[ClusterExpert], shots: Sequence[WindowSampl
     Fallback: the cluster whose source label histogram counts that label most
     often.  All ties go to the lower cluster id.
     """
-    X, y = stack_windows(shots)
-    y_idx = y - 1
-    probs = np.stack([lstm_predict_proba(e.expert_before, X) for e in experts])  # (k, n, C)
+    shots = as_window_set(shots)
+    y_idx = shots.y - 1
+    probs = np.stack([lstm_predict_proba(e.expert_before, shots.X) for e in experts])  # (k, n, C)
     p_true = probs[:, np.arange(len(shots)), y_idx]  # (k, n)
     predicts_true = probs.argmax(axis=2) == y_idx[None, :]  # (k, n)
     hist = np.stack([e.source_label_histogram for e in experts])  # (k, 4)
-
-    assignments = []
-    for j in range(len(shots)):
-        if predicts_true[:, j].any():
-            assignments.append(int(np.argmax(p_true[:, j])))
-        else:
-            assignments.append(int(np.argmax(hist[:, y_idx[j]])))
-    return tuple(assignments)
+    routed = np.where(predicts_true.any(axis=0), p_true.argmax(axis=0), hist[:, y_idx].argmax(axis=0))
+    return tuple(routed.tolist())
 
 
 def _train_adapted(
@@ -232,8 +207,8 @@ def _train_adapted(
 
 def adapt_experts(
     experts: Sequence[ClusterExpert],
-    source_windows_by_cluster: Sequence[Sequence[WindowSample]],
-    shots: Sequence[WindowSample],
+    source_windows_by_cluster: Sequence[Windows],
+    shots: Windows,
     assignments: Sequence[int],
     config: TrainConfig,
 ) -> list[ClusterExpert]:
@@ -244,17 +219,21 @@ def adapt_experts(
     """
     if len(assignments) != len(shots):
         raise ValueError("assignments must cover all shots")
-    sets = [
-        stack_windows(
-            list(source_windows_by_cluster[e.cluster_id]) + [s for s, a in zip(shots, assignments) if a == e.cluster_id]
-        )
-        for e in experts
-    ]
+    to = np.asarray(assignments, dtype=np.int64)
+    shots = as_window_set(shots) if len(shots) else None
+    sets = []
+    for e in experts:
+        source = source_windows_by_cluster[e.cluster_id]
+        parts = [as_window_set(source)] if len(source) else []
+        if shots is not None:
+            parts.append(shots[to == e.cluster_id])
+        joined = WindowSet.concat(parts)
+        sets.append((joined.X, joined.y))
     return _train_adapted([experts], [sets], [config])[0]
 
 
 def fit_gate(
-    shots: Sequence[WindowSample],
+    shots: Windows,
     assignments: Sequence[int],
     n_clusters: int,
     l2: float = 1e-4,
@@ -266,9 +245,9 @@ def fit_gate(
     When every shot lands in one cluster the gate degenerates to a constant
     classifier for that cluster.
     """
-    if not shots:
+    if len(shots) == 0:
         raise ValueError("cannot fit a gate without shots")
-    flats = flatten_windows(shots)
+    flats = as_window_set(shots).flat
     y = np.asarray(assignments, dtype=np.int64)
     distinct = set(y.tolist())
     if len(distinct) == 1:
@@ -281,8 +260,8 @@ def fit_gate(
 
 
 def _fit_staged(
-    source_windows: Sequence[WindowSample],
-    shots: Sequence[WindowSample],
+    source: WindowSet,
+    shots: WindowSet,
     k: int,
     configs: Sequence[TrainConfig],
     stats: StandardizationStats | None,
@@ -294,24 +273,23 @@ def _fit_staged(
     train in one ``lstm_train_many`` call, and so do the adapted experts.  Each
     model is bit-identical to what a lone fit with its config would build.
     """
-    gmms, members, experts, (X, y) = _fit_source_many(source_windows, k, configs)
+    gmms, members, experts = _source_stages(source, k, configs)
     routes, gates = [], []
     for run_experts in experts:
         routes.append(route_few_shot(run_experts, shots))
         gates.append(fit_gate(shots, routes[-1], k, l2=gate_l2))
-    shot_X, shot_y = stack_windows(shots)
     sets = []
     for run_members, route in zip(members, routes):
         to = np.asarray(route)  # each cluster trains on its source windows plus its routed shots
         sets.append(
             [
-                (np.concatenate([X[idx], shot_X[to == c]]), np.concatenate([y[idx], shot_y[to == c]]))
+                (np.concatenate([source.X[idx], shots.X[to == c]]), np.concatenate([source.y[idx], shots.y[to == c]]))
                 for c, idx in enumerate(run_members)
             ]
         )
     experts = _train_adapted(experts, sets, configs)
     if stats is None:
-        stats = StandardizationStats.identity(source_windows[0].x.shape[1])
+        stats = StandardizationStats.identity(source.X.shape[2])
     return [
         HierarchicalModel(
             gmm=gmm, experts=tuple(run_experts), gate=gate, stats=stats, shot_assignments=route, fit_seed=cfg.seed
@@ -385,8 +363,8 @@ def _join(pid: int, read_fd: int):
 
 
 def _fit_many(
-    source_windows: Sequence[WindowSample],
-    shots: Sequence[WindowSample],
+    source: WindowSet,
+    shots: WindowSet,
     k: int,
     configs: Sequence[TrainConfig],
     stats: StandardizationStats | None,
@@ -406,7 +384,7 @@ def _fit_many(
     """
     n, n_chunks = len(configs), _worker_count(len(configs))
     chunks = [configs[i * n // n_chunks : (i + 1) * n // n_chunks] for i in range(n_chunks)]
-    fit_chunk = functools.partial(_fit_staged, source_windows, shots, k, stats=stats, gate_l2=gate_l2)
+    fit_chunk = functools.partial(_fit_staged, source, shots, k, stats=stats, gate_l2=gate_l2)
 
     children = {}  # chunk index -> (pid, read end)
     try:
@@ -429,31 +407,25 @@ def _fit_many(
 
 
 def fit(
-    source_windows: Sequence[WindowSample],
-    shots: Sequence[WindowSample],
+    source_windows: Windows,
+    shots: Windows,
     k: int = 2,
     config: TrainConfig = TrainConfig(),
     stats: StandardizationStats | None = None,
     gate_l2: float = 1e-4,
 ) -> HierarchicalModel:
     """Run all stages once and assemble the full model."""
-    return _fit_many(source_windows, shots, k, [config], stats, gate_l2)[0]
-
-
-def predict(model: HierarchicalModel, window) -> int:
-    """Gate the window to a cluster, answer with that cluster's adapted expert."""
-    x = window.x if isinstance(window, WindowSample) else np.asarray(window, dtype=np.float64)
-    return int(predict_batch(model, x[None])[0])
+    return _fit_many(as_window_set(source_windows), as_window_set(shots), k, [config], stats, gate_l2)[0]
 
 
 def predict_batch(model: HierarchicalModel, windows) -> np.ndarray:
-    """Vectorized ``predict`` over (n, 2, d) windows or a WindowSample list."""
+    """Gate each window to a cluster and answer with that cluster's adapted
+    expert, over (n, 2, d) windows, a WindowSet or a WindowSample list."""
     if isinstance(windows, np.ndarray):
         X = windows.astype(np.float64, copy=False)
     else:
-        X, _ = stack_windows(windows)
-    flats = X.reshape(X.shape[0], -1)
-    clusters = np.argmax(model.gate.predict_proba(flats), axis=1)
+        X = as_window_set(windows).X
+    clusters = np.argmax(model.gate.predict_proba(X.reshape(X.shape[0], -1)), axis=1)
     out = np.empty(X.shape[0], dtype=np.int64)
     for c in np.unique(clusters):
         idx = np.flatnonzero(clusters == c)
@@ -465,9 +437,9 @@ def predict_batch(model: HierarchicalModel, windows) -> np.ndarray:
 
 
 def fit_selected(
-    source_windows: Sequence[WindowSample],
-    shots: Sequence[WindowSample],
-    test_pools: Sequence[Sequence[WindowSample]],
+    source_windows: Windows,
+    shots: Windows,
+    test_pools: Sequence[Windows],
     k: int = 2,
     runs: int = 10,
     evals: int = 5,
@@ -499,21 +471,19 @@ def fit_selected(
         raise ValueError(f"unknown eval_mode {eval_mode!r}")
     if runs < 1 or evals < 1:
         raise ValueError("need at least one selection run and one evaluation")
-    shot_X, shot_y = stack_windows(shots)
-    pools = [stack_windows(p) for p in test_pools if len(p) > 0]
+    source, shots = as_window_set(source_windows), as_window_set(shots)
+    pools = [as_window_set(p) for p in test_pools if len(p) > 0]
     if len(pools) != len(test_pools):
         log.warning("ignoring %d empty test pool(s)", len(test_pools) - len(pools))
 
     n_fits = runs + evals if eval_mode == "refit" else runs
     log.info("fit_selected fits=%d workers=%d", n_fits, _worker_count(n_fits))
-    models = _fit_many(
-        source_windows, shots, k, [replace(config, seed=config.seed + r) for r in range(n_fits)], stats, gate_l2
-    )
-    shot_accs = [float(np.mean(predict_batch(m, shot_X) == shot_y)) for m in models[:runs]]
+    models = _fit_many(source, shots, k, [replace(config, seed=config.seed + r) for r in range(n_fits)], stats, gate_l2)
+    shot_accs = [float(np.mean(predict_batch(m, shots.X) == shots.y)) for m in models[:runs]]
     best_model = models[int(np.argmax(shot_accs))]
 
     def file_accuracies(m: HierarchicalModel) -> tuple[float, ...]:
-        return tuple(float(np.mean(predict_batch(m, X) == y)) for X, y in pools)
+        return tuple(float(np.mean(predict_batch(m, p.X) == p.y)) for p in pools)
 
     if eval_mode == "refit":
         eval_file_accs = [file_accuracies(m) for m in models[runs:]]
@@ -545,38 +515,27 @@ class ObjectiveValues:
         return (self.source_expert_loss, self.gate_loss, self.adapted_expert_loss)
 
 
-def evaluate_objective(
-    model: HierarchicalModel, source_windows: Sequence[WindowSample], shots: Sequence[WindowSample]
-) -> ObjectiveValues:
-    flats = flatten_windows(source_windows)
-    assignment = gmm_assign(model.gmm, flats)
-    X, y = stack_windows(source_windows)
+def evaluate_objective(model: HierarchicalModel, source_windows: Windows, shots: Windows) -> ObjectiveValues:
+    source = as_window_set(source_windows)
+    shots = as_window_set(shots) if len(shots) else source[:0]
+    assignment = gmm_assign(model.gmm, source.flat)
+    shot_assign = np.asarray(model.shot_assignments if len(shots) else (), dtype=np.int64)
 
-    total_before = 0.0
-    total_after = 0.0
+    total_before = total_after = 0.0
     n_after = 0
-    shot_X, shot_y = (stack_windows(shots) if shots else (None, None))
-    shot_assign = np.asarray(model.shot_assignments, dtype=np.int64)
     for e in model.experts:
         idx = np.flatnonzero(assignment == e.cluster_id)
         if idx.size:
-            total_before += lstm_loss(e.expert_before, X[idx], y[idx]) * idx.size
+            total_before += lstm_loss(e.expert_before, source.X[idx], source.y[idx]) * idx.size
         # adapted experts are scored on the same augmented set they trained on
-        Xa = [X[idx]] if idx.size else []
-        ya = [y[idx]] if idx.size else []
-        if shots:
-            sel = np.flatnonzero(shot_assign == e.cluster_id)
-            if sel.size:
-                Xa.append(shot_X[sel])
-                ya.append(shot_y[sel])
-        if Xa:
-            Xc = np.concatenate(Xa)
-            yc = np.concatenate(ya)
-            total_after += lstm_loss(e.expert_after, Xc, yc) * len(yc)
-            n_after += len(yc)
+        sel = shot_assign == e.cluster_id
+        y = np.concatenate([source.y[idx], shots.y[sel]])
+        if y.size:
+            total_after += lstm_loss(e.expert_after, np.concatenate([source.X[idx], shots.X[sel]]), y) * y.size
+            n_after += y.size
 
-    e1 = total_before / len(source_windows)
-    e2 = softmax_loss(model.gate.params, flatten_windows(shots), shot_assign, l2=0.0) if shots else 0.0
+    e1 = total_before / len(source)
+    e2 = softmax_loss(model.gate.params, shots.flat, shot_assign, l2=0.0) if len(shots) else 0.0
     e3 = total_after / n_after
     return ObjectiveValues(source_expert_loss=e1, gate_loss=float(e2), adapted_expert_loss=e3)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noseda.ingest import SensorFrame, SequenceDataset, WindowSample
+from noseda.ingest import SequenceDataset, WindowSample
 
 
 def dataset_from_arrays(features, labels, name="ds", feature_names=None):
@@ -9,10 +9,9 @@ def dataset_from_arrays(features, labels, name="ds", feature_names=None):
     labels = np.asarray(labels, dtype=np.int64)
     if feature_names is None:
         feature_names = tuple(f"f{i}" for i in range(features.shape[1]))
-    frames = tuple(
-        SensorFrame(t=i, features=features[i], label=int(labels[i])) for i in range(len(labels))
+    return SequenceDataset(
+        name=name, feature_matrix=features, labels=labels, t=np.arange(len(labels)), feature_names=tuple(feature_names)
     )
-    return SequenceDataset(name=name, frames=frames, feature_names=tuple(feature_names))
 
 
 def window(x, y, t=0):

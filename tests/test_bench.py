@@ -3,14 +3,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from noseda.bench import (
     ExperimentConfig,
     ExperimentResult,
     SyntheticDomainSpec,
-    _pool_file_index,
     _run_method,
+    _split_targets,
     accuracy,
     beef_pairs,
     emit_report,
@@ -22,6 +21,8 @@ from noseda.bench import (
 from noseda.gmm import gmm_assign, gmm_fit
 from noseda.ingest import (
     StandardizationStats,
+    WindowSet,
+    as_window_set,
     flatten_windows,
     load_csv,
     make_windows,
@@ -83,20 +84,34 @@ class TestAccuracy:
         assert macro_accuracy(preds, labels) == pytest.approx(0.75)
 
 
-class TestPoolFileIndex:
-    def test_hand_counted_owners(self):
-        # files of 3, 0 and 2 windows: indexes 0-2 are file 0's, 3-4 file 2's
-        assert _pool_file_index([0, 2, 3, 4], [3, 0, 2]) == [0, 0, 2, 2]
-        assert _pool_file_index([], [3, 2]) == []
+class TestPerFilePools:
+    """``run_experiment`` splits the target files' windows together and hands
+    each file's test windows to the methods as that file's pool."""
 
-    @given(st.lists(st.integers(0, 6), min_size=1, max_size=6), st.data())
-    def test_matches_per_index_search(self, sizes, data):
-        total = sum(sizes)
-        indices = data.draw(st.lists(st.integers(0, max(total - 1, 0)), max_size=20)) if total else []
-        bounds = np.cumsum(sizes)
-        owners = _pool_file_index(indices, sizes)
-        assert owners == [int(np.searchsorted(bounds, i, side="right")) for i in indices]
-        assert all(type(o) is int and sizes[o] > 0 for o in owners)
+    @staticmethod
+    def files(labels_per_file):
+        return [
+            as_window_set([window(np.full((2, 1), 10.0 * f + i), y, t=i + 1) for i, y in enumerate(labels)])
+            for f, labels in enumerate(labels_per_file)
+        ]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_hand_counted_owners(self, seed):
+        # per_class=2: file 0's four class-1 windows leave 2 test windows;
+        # file 1's only window is class 2's only window, so a shot, and the
+        # file's pool is empty; file 2's five class-3 windows leave 3, and
+        # its two class-4 windows are both shots
+        files = self.files([[1, 1, 1, 1], [2], [3, 4, 3, 3, 4, 3, 3]])
+        shots, pools = _split_targets(files, per_class=2, seed=seed)
+        assert sorted(shots.y.tolist()) == [1, 1, 2, 3, 3, 4, 4]
+        assert [p.y.tolist() for p in pools] == [[1, 1], [], [3, 3, 3]]
+        assert [p.file_id.tolist() for p in pools] == [[0, 0], [], [2, 2, 2]]
+        assert pools[1].X.shape == (0, 2, 1)
+        for f, pool in enumerate(pools):
+            # each pool holds its own file's windows, in file order
+            assert pool.origin_t.tolist() == sorted(pool.origin_t.tolist())
+            assert all(np.all(w.x == 10.0 * f + w.origin_t - 1) for w in pool)
+        assert sum(map(len, pools)) + len(shots) == sum(map(len, files))
 
 
 class TestSynthesizeDomains:
@@ -279,6 +294,23 @@ class TestNoLeak:
         poisoned_bytes, poisoned_accs, _, _ = _run_method(cfg, source, shots, [poisoned_pool], stats)
         assert clean_bytes == poisoned_bytes
         assert clean_accs != poisoned_accs  # the labels did change what accuracy measures
+
+
+class TestRunMethodInputs:
+    @pytest.mark.parametrize("method", ["ours", "lr", "adaboost", "ss", "dnn", "lstm"])
+    def test_window_sets_and_lists_give_the_same_result(self, rng, method):
+        source = [window(rng.normal(size=(2, 2)) + 2.0 * (1 + i % 4), 1 + i % 4, t=i) for i in range(60)]
+        target = [window(rng.normal(size=(2, 2)) + 2.0 * (1 + i % 4), 1 + i % 4, t=i) for i in range(40)]
+        split = sample_few_shot(target, per_class=4, seed=0)
+        pools = [list(split.test_pool)[::2], list(split.test_pool)[1::2]]
+        cfg = ExperimentConfig(
+            source=("unused",), target=("unused",), method=method, seed=0, k=2,
+            runs=2, evals=2, epochs=3, dropout=0.1, learning_rate=0.02, batch_size=16, n_estimators=10,
+        )
+        stats = StandardizationStats.identity(2)
+        from_lists = _run_method(cfg, source, list(split.shots), pools, stats)
+        from_sets = _run_method(cfg, as_window_set(source), split.shots, [as_window_set(p) for p in pools], stats)
+        assert from_sets == from_lists
 
 
 class TestEmitReport:

@@ -142,3 +142,37 @@ def test_unknown_log_level_is_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["--log-level", "VERBOSE", "report", "--in", ".", "--out", "x"])
     assert "invalid choice: 'VERBOSE'" in capsys.readouterr().err
+
+
+def run_config_with_missing_data(tmp_path, **fields):
+    """``noseda run`` on a config whose source and target do not exist."""
+    missing = str(tmp_path / "no_such_dir" / "data.csv")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"source": missing, "target": missing, "method": "lr", **fields}))
+    return main(["run", "--config", str(cfg_path)])
+
+
+def test_valid_config_with_missing_data_fails_at_ingest(tmp_path, capsys):
+    assert run_config_with_missing_data(tmp_path, eval_mode="repredict", dropout=0.0, l2=0.0) == 1
+    assert "noseda: error: dataset file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("eval_mode", "bogus", "eval_mode must be 'refit' or 'repredict', got 'bogus'"),
+        ("k", 0, "k must be >= 1, got 0"),
+        ("runs", 0, "runs must be >= 1, got 0"),
+        ("evals", -1, "evals must be >= 1, got -1"),
+        ("per_class", 0, "per_class must be >= 1, got 0"),
+        ("epochs", 0, "epochs must be >= 1, got 0"),
+        ("batch_size", 0, "batch_size must be >= 1, got 0"),
+        ("n_estimators", 0, "n_estimators must be >= 1, got 0"),
+        ("dropout", 1.0, "dropout must be in [0, 1), got 1.0"),
+        ("dropout", -0.1, "dropout must be in [0, 1), got -0.1"),
+        ("l2", -1e-4, "l2 must be >= 0, got -0.0001"),
+    ],
+)
+def test_out_of_range_config_fails_before_ingest(tmp_path, capsys, field, value, message):
+    assert run_config_with_missing_data(tmp_path, **{field: value}) == 1
+    assert f"noseda: error: ExperimentConfig.{message}\n" in capsys.readouterr().err

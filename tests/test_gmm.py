@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from noseda.gmm import GmmParams, gmm_assign, gmm_fit, gmm_log_likelihood, gmm_posterior
+from noseda.gmm import GmmParams, gmm_assign, gmm_fit, gmm_log_likelihood
 from noseda.serialize import from_json, to_json
 
 
@@ -73,12 +73,23 @@ class TestFit:
 
 
 class TestPosterior:
+    """The posterior p(component | x) as the batched calls expose it: its
+    argmax is ``gmm_assign`` and its normalizer, the mixture density, is
+    ``gmm_log_likelihood``."""
+
     def symmetric_params(self):
         return GmmParams(
             weights=np.array([0.5, 0.5]),
             means=np.array([[-2.0, 0.0], [2.0, 0.0]]),
             variances=np.ones((2, 2)),
         )
+
+    @staticmethod
+    def components(params):
+        return [
+            GmmParams(weights=np.ones(1), means=params.means[c : c + 1], variances=params.variances[c : c + 1])
+            for c in range(params.k)
+        ]
 
     def test_matches_scipy_densities(self):
         params = GmmParams(
@@ -93,8 +104,8 @@ class TestPosterior:
                 for w, m, v in zip(params.weights, params.means, params.variances)
             ]
         )
-        expected = joint / joint.sum()
-        assert np.allclose(gmm_posterior(params, x), expected, atol=1e-12)
+        assert gmm_log_likelihood(params, x[None]) == pytest.approx(np.log(joint.sum()), abs=1e-12)
+        assert gmm_assign(params, x[None]).tolist() == [int(np.argmax(joint))]
 
     def test_concentrates_at_separated_mean(self):
         params = GmmParams(
@@ -102,21 +113,32 @@ class TestPosterior:
             means=np.array([[-5.0], [5.0]]),
             variances=np.ones((2, 1)),
         )
-        assert gmm_posterior(params, np.array([-5.0]))[0] > 0.99
+        assert gmm_assign(params, np.array([[-5.0], [5.0]])).tolist() == [0, 1]
 
     def test_midpoint_is_half(self):
-        resp = gmm_posterior(self.symmetric_params(), np.array([0.0, 0.0]))
-        assert np.allclose(resp, [0.5, 0.5], atol=1e-6)
+        # equal posteriors: the tie goes to the lower component id, and the
+        # mixture density equals either component's
+        params = self.symmetric_params()
+        x = np.array([[0.0, 0.0]])
+        assert gmm_assign(params, x).tolist() == [0]
+        ll = gmm_log_likelihood(params, x)
+        assert [gmm_log_likelihood(c, x) for c in self.components(params)] == pytest.approx([ll, ll], abs=1e-12)
 
     def test_single_component(self):
         params = GmmParams(weights=np.array([1.0]), means=np.zeros((1, 2)), variances=np.ones((1, 2)))
-        assert gmm_posterior(params, np.zeros(2)).tolist() == [1.0]
+        assert gmm_assign(params, np.zeros((3, 2))).tolist() == [0, 0, 0]
+        assert gmm_log_likelihood(params, np.zeros((1, 2))) == pytest.approx(-np.log(2 * np.pi), abs=1e-12)
 
     def test_sums_to_one(self, rng):
+        # the posterior's normalizer: weighted component densities add up to
+        # the mixture density, and the argmax is the heaviest of them
         params = gmm_fit(rng.normal(size=(60, 3)), k=3, seed=0)
-        resp = gmm_posterior(params, rng.normal(size=(10, 3)))
-        assert np.allclose(resp.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(resp >= 0)
+        X = rng.normal(size=(10, 3))
+        pairs = list(zip(params.weights, self.components(params)))
+        weighted = np.array([[w * np.exp(gmm_log_likelihood(c, x[None])) for w, c in pairs] for x in X])
+        mixture = [gmm_log_likelihood(params, x[None]) for x in X]
+        assert mixture == pytest.approx(np.log(weighted.sum(axis=1)), abs=1e-12)
+        assert np.array_equal(gmm_assign(params, X), np.argmax(weighted, axis=1))
 
     def test_permutation_equivariant(self, rng):
         params = gmm_fit(rng.normal(size=(80, 2)), k=3, seed=2)
@@ -125,12 +147,13 @@ class TestPosterior:
             means=params.means[::-1].copy(),
             variances=params.variances[::-1].copy(),
         )
-        x = rng.normal(size=2)
-        assert np.allclose(gmm_posterior(params, x)[::-1], gmm_posterior(flipped, x), atol=1e-12)
+        X = rng.normal(size=(20, 2))
+        assert np.array_equal(2 - gmm_assign(params, X), gmm_assign(flipped, X))
+        assert gmm_log_likelihood(flipped, X) == pytest.approx(gmm_log_likelihood(params, X), abs=1e-9)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            gmm_posterior(self.symmetric_params(), np.zeros(3))
+        with pytest.raises(ValueError, match="dimension 3, model expects 2"):
+            gmm_assign(self.symmetric_params(), np.zeros((1, 3)))
 
 
 class TestAssign:

@@ -10,10 +10,12 @@ from hypothesis.extra.numpy import arrays
 from noseda import write_dataset_csv
 from noseda.ingest import (
     DEFAULT_DROP,
-    SensorFrame,
     SequenceDataset,
     StandardizationStats,
+    WindowSample,
+    WindowSet,
     apply_standardizer,
+    as_window_set,
     fit_standardizer,
     harmonize,
     load_csv,
@@ -37,7 +39,7 @@ class TestLoadCsv:
         ds = load_csv(p)
         assert len(ds) == 3
         assert ds.feature_names == ("MQ2", "MQ3")
-        assert ds.frames[0].features.tolist() == [1.0, 2.0]
+        assert ds.feature_matrix[0].tolist() == [1.0, 2.0]
         assert ds.labels.tolist() == [1, 2, 4]
         assert ds.name == "tiny"
 
@@ -85,7 +87,7 @@ class TestLoadCsv:
         p = tmp_path / "blanks.csv"
         p.write_text("MQ2,label\n1.0,1\n\n2.0,2\n,\n3.0,3\n")
         ds = load_csv(p)
-        assert [fr.t for fr in ds.frames] == [0, 2, 4]
+        assert ds.t.tolist() == [0, 2, 4]
         p.write_text("MQ2,label\n1.0,1\n\n2.0,9\n")
         with pytest.raises(ValueError, match="row 3: label 9 outside"):
             load_csv(p)
@@ -144,7 +146,7 @@ class TestHarmonize:
     def test_values_follow_columns(self):
         ds = dataset_from_arrays([[1.0, 2.0, 3.0]], [1], feature_names=["a", "MQ7", "b"])
         out = harmonize(ds)
-        assert out.frames[0].features.tolist() == [1.0, 3.0]
+        assert out.feature_matrix[0].tolist() == [1.0, 3.0]
 
 
 class TestStandardizer:
@@ -278,6 +280,134 @@ class TestFewShot:
         with pytest.raises(ValueError):
             sample_few_shot([], seed=0)
 
+    def test_shots_and_pool_are_window_sets_of_the_indexed_windows(self, rng):
+        ws = windows_from_arrays(rng.normal(size=(30, 2, 2)), rng.integers(1, 5, 30))
+        split = sample_few_shot(ws, seed=2)
+        assert isinstance(split.shots, WindowSet) and isinstance(split.test_pool, WindowSet)
+        for part, indices in ((split.shots, split.shot_indices), (split.test_pool, split.test_indices)):
+            assert np.array_equal(part.X, np.stack([ws[i].x for i in indices]))
+            assert part.y.tolist() == [ws[i].y for i in indices]
+            assert part.origin_t.tolist() == [ws[i].origin_t for i in indices]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=40), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_split_partitions_the_windows(self, labels, per_class, seed):
+        ws = windows_from_arrays(np.arange(4.0 * len(labels)).reshape(-1, 2, 2), labels)
+        split = sample_few_shot(ws, per_class=per_class, seed=seed)
+        shots, tests = split.shot_indices, split.test_indices
+        assert set(shots).isdisjoint(tests)
+        assert sorted(shots + tests) == list(range(len(labels)))
+        for c in set(labels):
+            # per_class shots per class, or all of a class that has fewer
+            assert [labels[i] for i in shots].count(c) == min(per_class, labels.count(c))
+        assert split.n_classes == len(set(labels))
+        same = sample_few_shot(as_window_set(ws), per_class=per_class, seed=seed)
+        assert (same.shot_indices, same.test_indices) == (shots, tests)
+
+
+class TestSequenceDatasetBoundary:
+    @staticmethod
+    def make(**overrides):
+        kwargs = dict(
+            name="ds", feature_matrix=np.zeros((3, 2)), labels=np.array([1, 2, 3]), t=np.arange(3),
+            feature_names=("a", "b"),
+        )
+        kwargs.update(overrides)
+        return SequenceDataset(**kwargs)
+
+    def test_valid_columns(self):
+        ds = self.make(labels=[1, 2, 3], t=[0, 5, 6])
+        assert len(ds) == 3
+        assert ds.labels.dtype == np.int64 and ds.t.dtype == np.int64 and ds.feature_matrix.dtype == np.float64
+
+    def test_wrong_width(self):
+        with pytest.raises(ValueError, match=r"ds: feature matrix of shape \(3, 3\), expected 2 columns"):
+            self.make(feature_matrix=np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("bad", [0, 5, 2.5])
+    def test_label_outside_1_to_4(self, bad):
+        with pytest.raises(ValueError, match=f"ds: frame 1 label {bad} not in"):
+            self.make(labels=np.array([1, bad, 3]))
+
+    @pytest.mark.parametrize("t", [[0, 2, 2], [0, 2, 1]])
+    def test_t_not_increasing(self, t):
+        with pytest.raises(ValueError, match="ds: frames not ordered by t at index 2"):
+            self.make(t=np.array(t))
+
+    @pytest.mark.parametrize(
+        "overrides, counts",
+        [
+            ({"labels": np.array([1, 2])}, "3 feature rows, 2 labels, 3 times"),
+            ({"t": np.arange(4)}, "3 feature rows, 3 labels, 4 times"),
+            ({"feature_matrix": np.zeros((2, 2))}, "2 feature rows, 3 labels, 3 times"),
+        ],
+    )
+    def test_columns_of_different_length(self, overrides, counts):
+        with pytest.raises(ValueError, match=f"ds: columns of different length: {counts}"):
+            self.make(**overrides)
+
+    def test_column_slice_is_stored_in_row_order(self, rng):
+        F = rng.normal(size=(5, 4))[:, [0, 2]]  # a column-ordered view
+        ds = self.make(feature_matrix=F, labels=np.ones(5, dtype=int), t=np.arange(5))
+        assert ds.feature_matrix.flags["C_CONTIGUOUS"]
+        assert np.array_equal(ds.feature_matrix, F)
+
+
+class TestWindowSet:
+    @staticmethod
+    def windows():
+        return make_windows(dataset_from_arrays(np.arange(10.0).reshape(5, 2), [1, 2, 3, 4, 1]))
+
+    def test_integer_index_gives_a_window_sample(self):
+        w = self.windows()[1]
+        assert isinstance(w, WindowSample)
+        assert w.x.tolist() == [[2.0, 3.0], [4.0, 5.0]]
+        assert (w.y, w.origin_t) == (3, 2)
+        assert type(w.y) is int and type(w.origin_t) is int
+
+    def test_iteration_matches_the_columns(self):
+        ws = self.windows()
+        listed = list(ws)
+        assert [w.y for w in listed] == ws.y.tolist() == [2, 3, 4, 1]
+        assert [w.origin_t for w in listed] == ws.origin_t.tolist() == [1, 2, 3, 4]
+        assert all(np.array_equal(w.x, x) for w, x in zip(listed, ws.X))
+
+    @pytest.mark.parametrize(
+        "index, ys", [(slice(1, 3), [3, 4]), ([3, 0], [1, 2]), (np.array([True, False, False, True]), [2, 1]), ([], [])]
+    )
+    def test_slices_masks_and_index_lists_give_window_sets(self, index, ys):
+        part = self.windows()[index]
+        assert isinstance(part, WindowSet)
+        assert part.y.tolist() == ys
+        assert part.X.shape == (len(ys), 2, 2) and part.flat.shape == (len(ys), 4)
+
+    def test_flat_is_a_view(self):
+        ws = self.windows()
+        assert np.shares_memory(ws.flat, ws.X)
+        assert ws.flat[2].tolist() == [4.0, 5.0, 6.0, 7.0]
+
+    def test_concat_numbers_the_files(self):
+        a, b = self.windows(), self.windows()[:2]
+        joined = WindowSet.concat([a, b])
+        assert joined.file_id.tolist() == [0, 0, 0, 0, 1, 1]
+        assert np.array_equal(joined.X, np.concatenate([a.X, b.X]))
+        assert joined.y.tolist() == a.y.tolist() + b.y.tolist()
+
+    def test_as_window_set_converts_a_list_once(self, rng):
+        X, y = rng.normal(size=(6, 2, 3)), rng.integers(1, 5, 6)
+        ws = as_window_set(windows_from_arrays(X, y))
+        assert np.array_equal(ws.X, X) and ws.y.tolist() == y.tolist()
+        assert ws.origin_t.tolist() == list(range(1, 7)) and ws.file_id.tolist() == [0] * 6
+        assert as_window_set(ws) is ws
+        with pytest.raises(ValueError, match="no windows"):
+            as_window_set([])
+
+    def test_columns_must_agree(self):
+        with pytest.raises(ValueError, match="window set columns disagree"):
+            WindowSet(X=np.zeros((3, 2, 1)), y=np.ones(2, dtype=int), origin_t=np.arange(3), file_id=np.zeros(3))
+        with pytest.raises(ValueError, match="window labels must be in"):
+            WindowSet(X=np.zeros((1, 2, 1)), y=np.zeros(1, dtype=int), origin_t=np.arange(1), file_id=np.zeros(1))
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
 
@@ -291,8 +421,9 @@ def sequences(draw, max_len=25):
     F = draw(arrays(np.float64, (n, d), elements=FINITE))
     labels = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     t = np.cumsum(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))) - 1
-    frames = tuple(SensorFrame(t=int(t[i]), features=F[i], label=labels[i]) for i in range(n))
-    return SequenceDataset(name="seq", frames=frames, feature_names=tuple(f"f{j}" for j in range(d)))
+    return SequenceDataset(
+        name="seq", feature_matrix=F, labels=np.asarray(labels), t=t, feature_names=tuple(f"f{j}" for j in range(d))
+    )
 
 
 def bits(a):
@@ -308,8 +439,8 @@ class TestIngestProperties:
         assert len(ws) == len(ds) - 1
         for i, w in enumerate(ws):
             assert np.array_equal(bits(w.x), bits(np.stack((F[i], F[i + 1]))))
-            assert w.y == ds.frames[i + 1].label
-            assert w.origin_t == ds.frames[i + 1].t
+            assert w.y == ds.labels[i + 1]
+            assert w.origin_t == ds.t[i + 1]
 
     @settings(max_examples=40, deadline=None)
     @given(sequences())
@@ -320,7 +451,7 @@ class TestIngestProperties:
             loaded = load_csv(path)
         assert np.array_equal(bits(loaded.feature_matrix), bits(ds.feature_matrix))
         assert np.array_equal(loaded.labels, ds.labels)
-        assert [fr.t for fr in loaded.frames] == list(range(len(ds)))
+        assert loaded.t.tolist() == list(range(len(ds)))
         assert loaded.feature_names == ds.feature_names
 
     @settings(max_examples=30, deadline=None)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from noseda.nets import Adam, TrainConfig, lstm_forward, lstm_predict, lstm_predict_proba, lstm_train
+from noseda.nets import Adam, TrainConfig, lstm_predict, lstm_predict_proba, lstm_train
 from noseda.nets.common import dropout_mask, minibatch_indices
 from noseda.nets.lstm import LstmParams, lstm_init, lstm_loss, lstm_loss_grad, lstm_train_many, _forward
 from noseda.serialize import from_json, to_json
@@ -33,8 +33,8 @@ class TestForward:
             wx=np.zeros((2, 16)), wh=np.zeros((4, 16)), b=np.zeros(16),
             w_out=np.zeros((4, 4)), b_out=np.zeros(4),
         )
-        probs = lstm_forward(params, np.zeros((2, 2)))
-        assert probs.tolist() == [0.25, 0.25, 0.25, 0.25]
+        probs = lstm_predict_proba(params, np.zeros((1, 2, 2)))
+        assert probs.tolist() == [[0.25, 0.25, 0.25, 0.25]]
 
     def test_probabilities_sum_to_one(self):
         for seed in range(100):
@@ -43,8 +43,8 @@ class TestForward:
                 wx=r.normal(size=(3, 16)), wh=r.normal(size=(4, 16)), b=r.normal(size=16),
                 w_out=r.normal(size=(4, 4)), b_out=r.normal(size=4),
             )
-            probs = lstm_forward(params, r.normal(size=(2, 3)))
-            assert abs(probs.sum() - 1.0) < 1e-9
+            probs = lstm_predict_proba(params, r.normal(size=(5, 2, 3)))
+            assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
             assert np.all(probs >= 0)
 
     def test_hand_unrolled_scalar_recurrence(self):
@@ -73,15 +73,16 @@ class TestForward:
 
     def test_shape_mismatch(self):
         params = lstm_init(3, seed=0)
-        with pytest.raises(ValueError):
-            lstm_forward(params, np.zeros((3, 3)))
+        for X in (np.zeros((1, 3, 3)), np.zeros((2, 3)), np.zeros((1, 2, 2))):
+            with pytest.raises(ValueError, match="expected windows of shape"):
+                lstm_predict_proba(params, X)
 
     def test_non_finite_input(self):
         params = lstm_init(2, seed=0)
-        w = np.zeros((2, 2))
-        w[0, 0] = np.inf
-        with pytest.raises(ValueError):
-            lstm_forward(params, w)
+        X = np.zeros((3, 2, 2))
+        X[1, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            lstm_predict_proba(params, X)
 
     def test_dropout_mask_applied_at_head_only(self):
         params = constant_params(d=2, value=0.3)
@@ -89,9 +90,10 @@ class TestForward:
             wx=params.wx, wh=params.wh, b=params.b,
             w_out=np.arange(16.0).reshape(4, 4), b_out=np.zeros(4),
         )
-        w = np.ones((2, 2))
-        full = lstm_forward(params, w)
-        masked = lstm_forward(params, w, dropout_mask=np.zeros(4))
+        X = np.ones((1, 2, 2))
+        full = lstm_predict_proba(params, X)
+        assert np.array_equal(full, _forward(params, X)[0])
+        masked, _ = _forward(params, X, np.zeros((1, 4)))
         # zero mask kills the hidden state: logits fall back to the (zero) bias
         assert np.allclose(masked, 0.25, atol=1e-12)
         assert not np.allclose(full, masked)

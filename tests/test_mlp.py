@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noseda.nets import TrainConfig, mlp_predict, mlp_train
+from noseda.nets import TrainConfig, mlp_train
 from noseda.nets.common import Adam, dropout_mask, minibatch_indices
 from noseda.nets.mlp import MlpParams, mlp_init, mlp_loss_grad, mlp_predict_labels, mlp_predict_proba
 
@@ -15,7 +15,7 @@ def xor_set(rng, n=200):
 class TestForward:
     def test_zero_init_head_gives_uniform(self):
         params = mlp_init(3, hidden=(8, 8), seed=0)
-        out = mlp_predict(params, np.array([0.3, -1.0, 2.0]))
+        out = mlp_predict_proba(params, np.array([[0.3, -1.0, 2.0], [0.0, 0.0, 0.0]]))
         assert np.allclose(out, 0.25, atol=1e-12)
 
     def test_predict_sums_to_one(self, rng):

@@ -10,23 +10,20 @@ import pytest
 
 import noseda.pipeline as pipeline_mod
 from noseda.gmm import GmmParams
-from noseda.ingest import StandardizationStats, WindowSample, flatten_windows, stack_windows
+from noseda.ingest import StandardizationStats, WindowSample, as_window_set, flatten_windows, stack_windows
 from noseda.nets import TrainConfig, lstm_train
 from noseda.nets.lstm import LstmParams, lstm_predict
 from noseda.pipeline import (
     ClusterExpert,
     HierarchicalModel,
     SelectionReport,
-    _train_cluster_experts,
     adapt_experts,
     evaluate_objective,
     fit,
     fit_gate,
     fit_selected,
-    fit_source,
     load_model,
     model_to_json_bytes,
-    predict,
     predict_batch,
     route_few_shot,
     save_model,
@@ -87,9 +84,12 @@ def trivial_gmm(flats):
 
 
 class TestFitSource:
+    """The source stages of ``fit``: one expert per GMM cluster, trained on
+    that cluster's windows, with the cluster's label histogram."""
+
     def test_histograms_concentrate_on_cluster_labels(self, rng):
         ws = two_cluster_windows(rng)
-        gmm_params, experts = fit_source(ws, k=2, config=FAST)
+        experts = fit(ws, ws[::10], k=2, config=FAST).experts
         assert len(experts) == 2
         hists = sorted((e.source_label_histogram.tolist() for e in experts), key=lambda h: h[0], reverse=True)
         # one expert holds all the {1,2} windows, the other all the {3,4}
@@ -99,27 +99,28 @@ class TestFitSource:
     def test_expert_count_equals_k(self, rng):
         ws = two_cluster_windows(rng, n_per=20)
         for k in (1, 2, 3):
-            _, experts = fit_source(ws, k=k, config=FAST)
+            experts = fit(ws, ws[::5], k=k, config=FAST).experts
             assert len(experts) == k
             assert [e.cluster_id for e in experts] == list(range(k))
 
     def test_k_one_is_plain_lstm(self, rng):
         ws = two_cluster_windows(rng, n_per=10)
-        _, experts = fit_source(ws, k=1, config=FAST)
+        experts = fit(ws, ws[::5], k=1, config=FAST).experts
         X, y = stack_windows(ws)
         plain = lstm_train(X, y, replace(FAST, seed=stage_seed(FAST.seed, "expert", 0)))
         for a, b in zip(experts[0].expert_before.arrays(), plain.arrays()):
             assert np.array_equal(a, b)
 
-    def test_empty_cluster_is_an_error(self, rng):
+    def test_empty_cluster_is_an_error(self, rng, monkeypatch):
         ws = two_cluster_windows(rng, n_per=5)
-        assignment = np.zeros(len(ws), dtype=int)  # everything lands in cluster 0
+        # everything lands in cluster 0
+        monkeypatch.setattr(pipeline_mod, "gmm_assign", lambda params, flats: np.zeros(len(flats), dtype=int))
         with pytest.raises(ValueError, match="cluster 1"):
-            _train_cluster_experts(ws, assignment, 2, FAST)
+            fit(ws, ws[::3], k=2, config=FAST)
 
     def test_histogram_total_equals_cluster_size(self, rng):
         ws = two_cluster_windows(rng)
-        _, experts = fit_source(ws, k=2, config=FAST)
+        experts = fit(ws, ws[::10], k=2, config=FAST).experts
         assert sum(int(e.source_label_histogram.sum()) for e in experts) == len(ws)
 
 
@@ -222,6 +223,19 @@ class TestAdaptation:
         _, trace = lstm_train(X, y, replace(cfg, seed=stage_seed(cfg.seed, "adapt", 0)), return_trace=True)
         assert trace[-1] < trace[0]
 
+    def test_stage_calls_accept_window_sets(self, rng):
+        source = two_cluster_windows(rng, n_per=12)
+        shots = source[::6]
+        experts = fit(source, shots, k=2, config=FAST).experts
+        routed = route_few_shot(experts, shots)
+        assert route_few_shot(experts, as_window_set(shots)) == routed
+        gate, set_gate = fit_gate(shots, routed, 2), fit_gate(as_window_set(shots), routed, 2)
+        assert model_to_json_bytes(set_gate) == model_to_json_bytes(gate)
+        by_cluster = [source[:12], source[12:]]
+        adapted = adapt_experts(experts, by_cluster, shots, routed, FAST)
+        set_adapted = adapt_experts(experts, [as_window_set(w) for w in by_cluster], as_window_set(shots), routed, FAST)
+        assert [model_to_json_bytes(e) for e in set_adapted] == [model_to_json_bytes(e) for e in adapted]
+
     def test_assignment_shot_mismatch(self):
         with pytest.raises(ValueError):
             adapt_experts([bias_expert([0.25] * 4)], [[]], [window(np.zeros((2, 2)), 1)], [], FAST)
@@ -280,13 +294,13 @@ class TestPredict:
         experts = [exact_expert(2, 0), exact_expert(4, 1)]
         model = self.constant_gate_model(experts, to_cluster=0)
         w = rng.normal(size=(2, 2))
-        assert predict(model, w) == 2
+        assert predict_batch(model, w[None]).tolist() == [2]
 
     def test_disagreeing_experts_follow_the_gate(self, rng):
         experts = [exact_expert(1, 0), exact_expert(3, 1)]
         for target, expected in ((0, 1), (1, 3)):
             model = self.constant_gate_model(experts, to_cluster=target)
-            assert predict(model, rng.normal(size=(2, 2))) == expected
+            assert predict_batch(model, rng.normal(size=(1, 2, 2))).tolist() == [expected]
 
     def test_prediction_in_label_range(self, rng):
         ws = two_cluster_windows(rng, n_per=20)
@@ -298,8 +312,6 @@ class TestPredict:
     def test_predict_is_pure(self, rng):
         ws = two_cluster_windows(rng, n_per=15)
         model = fit(ws, ws[::7], k=2, config=FAST)
-        w = rng.normal(size=(2, 2))
-        assert predict(model, w) == predict(model, w)
         X = rng.normal(size=(10, 2, 2))
         assert np.array_equal(predict_batch(model, X), predict_batch(model, X))
 
@@ -399,6 +411,17 @@ class TestFitSelected:
         monkeypatch.setattr(pipeline_mod, "gmm_assign", run_2_collapses)
         with pytest.raises(ValueError, match="cluster 1 received no source windows"):
             fit_selected(ws, shots, [pool], k=2, runs=4, evals=2, config=FAST, eval_mode=eval_mode)
+
+    def test_window_sets_and_lists_give_the_same_protocol(self, rng):
+        ws, shots, pool = self.setup_problem(rng, n_per=15)
+        pools = [pool[::2], pool[1::2]]
+        cfg = replace(FAST, epochs=2, seed=4)
+        model, report = fit_selected(ws, shots, pools, k=2, runs=3, evals=2, config=cfg)
+        set_model, set_report = fit_selected(
+            as_window_set(ws), as_window_set(shots), [as_window_set(p) for p in pools], k=2, runs=3, evals=2, config=cfg
+        )
+        assert set_report == report
+        assert model_to_json_bytes(set_model) == model_to_json_bytes(model)
 
     def test_selection_report_validates_argmax(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noseda.nets import softmax_predict, softmax_train
+from noseda.nets import softmax_train
 from noseda.nets.common import log_softmax, one_hot, softmax
 from noseda.nets.softmax_regression import ARMIJO_C, MIN_STEP, softmax_predict_proba
 
@@ -20,7 +20,7 @@ class TestTrain:
         y = np.array([0, 1, 0, 1])
         params = softmax_train(X, y, n_classes=2, l2=1e6)
         assert np.abs(params.weights).max() < 1e-3
-        probs = softmax_predict(params, np.array([0.3]))
+        probs = softmax_predict_proba(params, np.array([[0.3]]))
         assert np.allclose(probs, 0.5, atol=1e-3)
 
     @pytest.mark.parametrize("seed", range(50))
@@ -50,9 +50,10 @@ class TestTrain:
 
     def test_predict_is_simplex_point(self, rng):
         params = softmax_train(rng.normal(size=(20, 3)), rng.integers(0, 3, 20), n_classes=3)
-        p = softmax_predict(params, rng.normal(size=3))
-        assert p.shape == (3,)
-        assert abs(p.sum() - 1.0) < 1e-9
+        p = softmax_predict_proba(params, rng.normal(size=(5, 3)))
+        assert p.shape == (5, 3)
+        assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-9
+        assert np.all(p >= 0)
 
 
 def two_evaluation_train(X, y, n_classes, l2, max_iter, tol=1e-6):
