@@ -325,7 +325,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     target_sets = [apply_standardizer(ds, stats) for ds in target_sets]
 
     source = WindowSet.concat([make_windows(ds) for ds in source_sets])
-    shots, test_pools = _split_targets([make_windows(ds) for ds in target_sets], config.per_class, config.seed)
+    target_files = [make_windows(ds) for ds in target_sets]
+    shots, test_pools = _split_targets(target_files, config.per_class, config.seed)
+    for ds, windows, pool in zip(target_sets, target_files, test_pools):
+        if len(pool) == 0:
+            raise ValueError(
+                f"target file {ds.name!r} has no test windows: the few-shot split (per_class={config.per_class}) "
+                f"took all of its {len(windows)} window(s) as shots"
+            )
     model_bytes, file_accs, file_macros, selection = _run_method(config, source, shots, test_pools, stats)
 
     file_names = tuple(ds.name for ds in target_sets)

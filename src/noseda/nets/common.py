@@ -45,13 +45,22 @@ class Adam:
             adam_update(p, g, m, v, self.t, self.lr, s, self.beta1, self.beta2, self.eps)
 
 
-def adam_update(p, g, m, v, t, lr, scratch, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+def adam_corrections(steps: int, beta1: float = 0.9, beta2: float = 0.999) -> np.ndarray:
+    """The bias corrections of steps 0..``steps``: row t holds
+    ``(1 - beta1**t, 1 - beta2**t)``, each the Python float expression's value."""
+    return np.array([(1 - beta1**t, 1 - beta2**t) for t in range(steps + 1)])
+
+
+def adam_update(p, g, m, v, t, lr, scratch, beta1=0.9, beta2=0.999, eps=1e-8, corrections=None) -> None:
     """One in-place Adam update of ``p`` and its moments ``m``, ``v``.
 
-    ``t`` is the step count: an int, or a sequence of ints with one entry per
-    row of a stack of models (``p.shape[0] == len(t)``), each row then taking
-    its own bias correction.  The corrections ``1 - beta**t`` are Python
-    floats either way, so a stacked row updates bit for bit like a lone model.
+    ``t`` is the step count: an int, or an int array (or sequence) with one
+    entry per row of a stack of models (``p.shape[0] == len(t)``), each row
+    then taking its own bias correction.  A per-row ``t`` gathers its
+    corrections from ``corrections``, an ``adam_corrections`` table covering
+    every entry of ``t`` and built with the same betas.  The corrections
+    ``1 - beta**t`` are Python floats either way, so a stacked row updates
+    bit for bit like a lone model.
 
     ``scratch`` is a pair of arrays shaped like ``p`` that receive the
     intermediates, so that a caller stepping many times allocates them once.
@@ -61,9 +70,8 @@ def adam_update(p, g, m, v, t, lr, scratch, beta1=0.9, beta2=0.999, eps=1e-8) ->
     if isinstance(t, int):
         c1, c2 = 1 - beta1**t, 1 - beta2**t
     else:
-        tail = (1,) * (p.ndim - 1)
-        c1 = np.array([1 - beta1**ti for ti in t]).reshape(-1, *tail)
-        c2 = np.array([1 - beta2**ti for ti in t]).reshape(-1, *tail)
+        c = corrections[t].reshape((-1,) + (1,) * (p.ndim - 1) + (2,))
+        c1, c2 = c[..., 0], c[..., 1]
     s1, s2 = scratch
     m *= beta1
     np.multiply(g, 1 - beta1, out=s1)
@@ -82,12 +90,22 @@ def adam_update(p, g, m, v, t, lr, scratch, beta1=0.9, beta2=0.999, eps=1e-8) ->
 
 
 def sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+    """``1 / (1 + exp(-z))``, operation for operation, in one buffer."""
+    out = np.negative(z)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
-    m = z.max(axis=-1, keepdims=True)
-    return z - m - np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
+    # the row maxima a column at a time: a max over a short last axis loops
+    # once per row and costs several times more
+    m = z[..., :1]
+    for c in range(1, z.shape[-1]):
+        m = np.maximum(m, z[..., c : c + 1])
+    zm = z - m
+    zm -= np.log(np.exp(zm).sum(axis=-1, keepdims=True))
+    return zm
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

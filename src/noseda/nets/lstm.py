@@ -16,6 +16,7 @@ stack in lockstep; ``lstm_train`` is its one-model case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,6 +25,7 @@ import numpy as np
 from .common import (
     N_CLASSES,
     TrainConfig,
+    adam_corrections,
     adam_update,
     cross_entropy_from_logits,
     flatten_arrays,
@@ -61,6 +63,11 @@ class LstmParams:
     def arrays(self) -> tuple[np.ndarray, ...]:
         return (self.wx, self.wh, self.b, self.w_out, self.b_out)
 
+    def shapes(self) -> tuple[tuple[int, ...], ...]:
+        """The shapes of ``arrays()`` for one network (no model axis)."""
+        d, h, c = self.input_dim, self.hidden_dim, self.n_classes
+        return ((d, 4 * h), (h, 4 * h), (4 * h,), (h, c), (c,))
+
 
 def lstm_init(input_dim: int, n_classes: int = N_CLASSES, seed: int = 0) -> LstmParams:
     """Seeded uniform(-1/sqrt(fan_in), +) init for gates; zero head and biases.
@@ -91,28 +98,32 @@ def _forward(params: LstmParams, X: np.ndarray, drop: np.ndarray | None = None):
     """Batched forward pass over (..., B, 2, d) windows.
 
     Returns (probs, cache) with everything BPTT needs.  ``X`` and the
-    parameter arrays may share a leading model axis.
+    parameter arrays may share a leading model axis.  The initial state is
+    zero, so the first step has no recurrent term and no ``f * c_prev``.
     """
     h = params.hidden_dim
-    hs = np.zeros(X.shape[:-2] + (h,))
-    cs = np.zeros_like(hs)
     b = params.b[..., None, :]
     steps = []
+    hs = cs = None
     for t in range(2):
         xt = X[..., t, :]
-        z = xt @ params.wx + hs @ params.wh + b
+        z = xt @ params.wx
+        if hs is not None:
+            z += hs @ params.wh
+        z += b
         ifo = sigmoid(z[..., : 3 * h])  # elementwise, so one call equals three
-        i, f, o = ifo[..., :h], ifo[..., h : 2 * h], ifo[..., 2 * h :]
         g = np.tanh(z[..., 3 * h :])
-        c_new = f * cs + i * g
-        hc = np.tanh(c_new)
-        h_new = o * hc
-        steps.append({"x": xt, "h_prev": hs, "c_prev": cs, "i": i, "f": f, "o": o, "g": g, "c": c_new, "hc": hc})
-        hs, cs = h_new, c_new
+        c = ifo[..., :h] * g
+        if cs is not None:
+            c += ifo[..., h : 2 * h] * cs
+        hc = np.tanh(c)
+        hs, cs = ifo[..., 2 * h :] * hc, c
+        steps.append({"x": xt, "ifo": ifo, "g": g, "c": c, "hc": hc, "h": hs})
     h_final = hs if drop is None else hs * drop
-    logits = h_final @ params.w_out + params.b_out[..., None, :]
+    logits = h_final @ params.w_out
+    logits += params.b_out[..., None, :]
     log_probs = log_softmax(logits)
-    cache = {"steps": steps, "h_last": hs, "h_final": h_final, "logits": logits, "log_probs": log_probs, "drop": drop}
+    cache = {"steps": steps, "h_last": hs, "h_final": h_final, "logits": logits, "log_probs": log_probs}
     return np.exp(log_probs), cache
 
 
@@ -135,8 +146,49 @@ def lstm_loss(params: LstmParams, X: np.ndarray, labels: np.ndarray) -> float:
     return cross_entropy_from_logits(cache["logits"], y)
 
 
-def _loss_grad(params: LstmParams, X: np.ndarray, y: np.ndarray, y_hot: np.ndarray, drop: np.ndarray | None):
-    """Mean cross-entropy and BPTT gradients on checked inputs.
+def _gate_grad(dh: np.ndarray, dc_next, step: dict, c_prev, dz: np.ndarray) -> np.ndarray:
+    """One step of BPTT: write the gradient w.r.t. the gate pre-activations
+    into ``dz`` (blocks [i | f | o | g]) and return the one w.r.t. the cell
+    state.  ``dc_next`` is None at the last step.  ``c_prev`` is None at the
+    first step, whose forget block is then zero, like the state before it."""
+    h = dh.shape[-1]
+    ifo, g, hc = step["ifo"], step["g"], step["hc"]
+    dc = dh * ifo[..., 2 * h :]
+    q = np.square(hc)
+    np.subtract(1.0, q, out=q)
+    dc *= q
+    if dc_next is not None:
+        dc += dc_next
+    d_ifo = np.empty_like(ifo) if c_prev is not None else np.zeros_like(ifo)
+    np.multiply(dc, g, out=d_ifo[..., :h])
+    if c_prev is not None:
+        np.multiply(dc, c_prev, out=d_ifo[..., h : 2 * h])
+    np.multiply(dh, hc, out=d_ifo[..., 2 * h :])
+    d_ifo *= ifo
+    one_minus = np.subtract(1.0, ifo)
+    np.multiply(d_ifo, one_minus, out=dz[..., : 3 * h])
+    np.square(g, out=q)
+    np.subtract(1.0, q, out=q)
+    dg = np.multiply(dc, ifo[..., :h], out=dz[..., 3 * h :])
+    dg *= q
+    return dc
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of the last axis of ``flat``, one per shape, each
+    keeping ``flat``'s leading axes."""
+    views, pos = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[..., pos : pos + size].reshape(flat.shape[:-1] + tuple(shape)))
+        pos += size
+    return views
+
+
+def _loss_grad(params: LstmParams, X: np.ndarray, y: np.ndarray, y_hot: np.ndarray, drop: np.ndarray | None, grad):
+    """Mean cross-entropy on checked inputs, with its BPTT gradient written
+    into ``grad``, a (..., P) buffer laid out like the flattened
+    ``params.arrays()``.
 
     ``y`` holds 0-based class indices (..., B) and ``y_hot`` their one-hot
     rows (..., B, C); with a leading model axis the loss is one per model.
@@ -149,36 +201,27 @@ def _loss_grad(params: LstmParams, X: np.ndarray, y: np.ndarray, y_hot: np.ndarr
     picked = log_probs.reshape(-1)[np.arange(0, log_probs.size, log_probs.shape[-1]) + y.reshape(-1)]
     loss = -np.add.reduce(picked.reshape(y.shape), axis=-1) / B  # ndarray.mean's arithmetic, less overhead
 
-    dlogits = (probs - y_hot) / B
-    d_w_out = cache["h_final"].swapaxes(-1, -2) @ dlogits
-    d_b_out = dlogits.sum(axis=-2)
+    d_wx, d_wh, d_b, d_w_out, d_b_out = _views(grad, params.shapes())
+    dlogits = np.subtract(probs, y_hot, out=probs)
+    dlogits /= B
+    np.matmul(cache["h_final"].swapaxes(-1, -2), dlogits, out=d_w_out)
+    np.add.reduce(dlogits, axis=-2, out=d_b_out)
     dh = dlogits @ params.w_out.swapaxes(-1, -2)
-    if cache["drop"] is not None:
-        dh = dh * cache["drop"]
+    if drop is not None:
+        dh *= drop
 
-    d_wx = np.zeros_like(params.wx)
-    d_wh = np.zeros_like(params.wh)
-    d_b = np.zeros_like(params.b)
-    dc_next = np.zeros(X.shape[:-2] + (h,))
-    for t in (1, 0):
-        s = cache["steps"][t]
-        do = dh * s["hc"]
-        dc = dh * s["o"] * (1.0 - s["hc"] ** 2) + dc_next
-        di = dc * s["g"]
-        dg = dc * s["i"]
-        df = dc * s["c_prev"]
-        dz = np.empty(dc.shape[:-1] + (4 * h,))  # gate blocks [i | f | o | g]
-        np.multiply(di * s["i"], 1.0 - s["i"], out=dz[..., :h])
-        np.multiply(df * s["f"], 1.0 - s["f"], out=dz[..., h : 2 * h])
-        np.multiply(do * s["o"], 1.0 - s["o"], out=dz[..., 2 * h : 3 * h])
-        np.multiply(dg, 1.0 - s["g"] ** 2, out=dz[..., 3 * h :])
-        d_wx += s["x"].swapaxes(-1, -2) @ dz
-        d_wh += s["h_prev"].swapaxes(-1, -2) @ dz
-        d_b += dz.sum(axis=-2)
-        dh = dz @ params.wh.swapaxes(-1, -2)
-        dc_next = dc * s["f"]
-
-    return loss, (d_wx, d_wh, d_b, d_w_out, d_b_out)
+    s0, s1 = cache["steps"]
+    dz = np.empty(s1["c"].shape[:-1] + (4 * h,))
+    dc = _gate_grad(dh, None, s1, s0["c"], dz)
+    np.matmul(s1["x"].swapaxes(-1, -2), dz, out=d_wx)
+    np.matmul(s0["h"].swapaxes(-1, -2), dz, out=d_wh)  # the zero state adds nothing at t=0
+    np.add.reduce(dz, axis=-2, out=d_b)
+    dh = dz @ params.wh.swapaxes(-1, -2)
+    dc *= s1["ifo"][..., h : 2 * h]
+    _gate_grad(dh, dc, s0, None, dz)
+    d_wx += s0["x"].swapaxes(-1, -2) @ dz
+    d_b += np.add.reduce(dz, axis=-2)
+    return loss
 
 
 def lstm_loss_grad(params: LstmParams, X: np.ndarray, labels: np.ndarray, drop: np.ndarray | None = None):
@@ -189,8 +232,10 @@ def lstm_loss_grad(params: LstmParams, X: np.ndarray, labels: np.ndarray, drop: 
     """
     X = _check_windows(params, X)
     y = labels_to_indices(labels, params.n_classes)
-    loss, grads = _loss_grad(params, X, y, one_hot(y, params.n_classes), drop)
-    return float(loss), grads
+    shapes = params.shapes()
+    grad = np.empty(sum(math.prod(shape) for shape in shapes))
+    loss = _loss_grad(params, X, y, one_hot(y, params.n_classes), drop, grad)
+    return float(loss), tuple(_views(grad, shapes))
 
 
 def _lockstep_schedule(n: Sequence[int], batch_size: int) -> list[tuple[int, int, int, int]]:
@@ -223,9 +268,9 @@ def lstm_train_many(
     and the windows on their width d; seeds and dataset sizes may differ.
     Every network is bit-identical to what ``lstm_train`` returns for its
     triple alone: each keeps its own ``default_rng(config.seed)`` stream
-    (init draw, one permutation per epoch, one dropout mask per batch) and its
-    own Adam step count, so a network that runs out of batches in an epoch
-    simply skips the remaining steps.
+    (init draw, then per epoch a permutation and that epoch's dropout draws)
+    and its own Adam step count, so a network that runs out of batches in an
+    epoch simply skips the remaining steps.
 
     Returns the list of params in input order, plus the list of per-epoch
     mean-loss traces when ``return_trace`` is set.
@@ -269,15 +314,13 @@ def lstm_train_many(
     inits = [lstm_init(d, seed=int(rng.integers(2**63))) for rng in rngs]
     # one flat row of parameters per model, so Adam updates a group in one pass
     flat = np.stack([flatten_arrays(p0.arrays()) for p0 in inits])
-    views, pos = [], 0
-    for a in inits[0].arrays():
-        views.append(flat[:, pos : pos + a.size].reshape((M,) + a.shape))
-        pos += a.size
+    views = _views(flat, inits[0].shapes())
     adam_m = np.zeros_like(flat)
     adam_v = np.zeros_like(flat)
     adam_s1, adam_s2 = np.empty_like(flat), np.empty_like(flat)
     grad = np.empty_like(flat)
-    t = [0] * M
+    t = np.zeros(M, dtype=np.int64)
+    corrections = adam_corrections(epochs * -(-n[0] // bs))
     lr = configs[0].learning_rate
     # each epoch's shuffled copy of every dataset, so that a step's batches
     # are slices rather than gathers
@@ -285,30 +328,34 @@ def lstm_train_many(
     X_ep = np.zeros((M, n[0], 2, d))
     y_ep = np.zeros((M, n[0]), dtype=np.int64)
     y_hot_ep = np.zeros((M, n[0], N_CLASSES))
+    # each epoch's dropout draws, turned into its masks in place: one call per
+    # network right after its permutation is the same stream as one per batch
+    drop_ep = np.zeros((M, n[0], HIDDEN_DIM)) if p > 0.0 else None
+    # the parameter views of every group of the schedule (Adam updates them in place)
+    subs = {(a, b): LstmParams(*(v[a:b] for v in views)) for _, a, b, _ in schedule}
     traces = [[] for _ in range(M)]
 
     for _ in range(epochs):
         for j, ((X, y), rng) in enumerate(zip(data, rngs)):
             perm = rng.permutation(n[j])
+            if drop_ep is not None:
+                rng.random((n[j], HIDDEN_DIM), out=drop_ep[j, : n[j]])
             np.take(X, perm, axis=0, out=X_ep[j, : n[j]])
             np.take(y, perm, out=y_ep[j, : n[j]])
             np.take(hots[j], perm, axis=0, out=y_hot_ep[j, : n[j]])
+        if drop_ep is not None:
+            np.greater_equal(drop_ep, p, out=drop_ep)  # 1.0 where kept, else 0.0
+            drop_ep /= 1.0 - p
         totals = np.zeros(M)
         for lo, a, b, length in schedule:
-            G = b - a
             batch = slice(lo, lo + length)
-            drop = None
-            if p > 0.0:
-                u = np.empty((G, length, HIDDEN_DIM))
-                for g in range(G):
-                    rngs[a + g].random((length, HIDDEN_DIM), out=u[g])
-                drop = (u >= p) / (1.0 - p)
-            sub = LstmParams(*(v[a:b] for v in views))
-            loss, grads = _loss_grad(sub, X_ep[a:b, batch], y_ep[a:b, batch], y_hot_ep[a:b, batch], drop)
-            np.concatenate([gr.reshape(G, -1) for gr in grads], axis=1, out=grad[a:b])
-            for g in range(a, b):
-                t[g] += 1
-            adam_update(flat[a:b], grad[a:b], adam_m[a:b], adam_v[a:b], t[a:b], lr, (adam_s1[a:b], adam_s2[a:b]))
+            drop = None if drop_ep is None else drop_ep[a:b, batch]
+            loss = _loss_grad(subs[a, b], X_ep[a:b, batch], y_ep[a:b, batch], y_hot_ep[a:b, batch], drop, grad[a:b])
+            t[a:b] += 1
+            adam_update(
+                flat[a:b], grad[a:b], adam_m[a:b], adam_v[a:b], t[a:b], lr, (adam_s1[a:b], adam_s2[a:b]),
+                corrections=corrections,
+            )
             totals[a:b] += loss * length
         for j in range(M):
             traces[j].append(float(totals[j] / n[j]))

@@ -420,13 +420,16 @@ def fit(
 
 def predict_batch(model: HierarchicalModel, windows) -> np.ndarray:
     """Gate each window to a cluster and answer with that cluster's adapted
-    expert, over (n, 2, d) windows, a WindowSet or a WindowSample list."""
+    expert, over (n, 2, d) windows, a WindowSet or a WindowSample list.
+    Zero windows give an empty int64 array."""
     if isinstance(windows, np.ndarray):
         X = windows.astype(np.float64, copy=False)
     else:
         X = as_window_set(windows).X
-    clusters = np.argmax(model.gate.predict_proba(X.reshape(X.shape[0], -1)), axis=1)
     out = np.empty(X.shape[0], dtype=np.int64)
+    if X.shape[0] == 0:
+        return out
+    clusters = np.argmax(model.gate.predict_proba(X.reshape(X.shape[0], -1)), axis=1)
     for c in np.unique(clusters):
         idx = np.flatnonzero(clusters == c)
         expert = model.experts[int(c)].expert_after

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 import json
 
 import numpy as np
 import pytest
 
+from noseda import bench
 from noseda.bench import (
     ExperimentConfig,
     ExperimentResult,
@@ -263,6 +265,28 @@ class TestRunExperiment:
         run_experiment(quick_config(sp, tp, "lr", output=str(out)))
         loaded = from_json(ExperimentResult, json.loads(out.read_text()))
         assert loaded.method == "lr"
+
+    @pytest.mark.parametrize("method", ["lr", "ours"])
+    def test_target_file_without_test_windows_fails_before_training(self, tmp_path, method, monkeypatch):
+        # a 200-row target file and a 2-row one: per_class=60 takes the short
+        # file's only window as a shot, leaving it nothing to score
+        source, target = synthesize_domains(simple_spec(seed=0))
+        write_dataset_csv(source, tmp_path / "source.csv")
+        tdir = tmp_path / "targets"
+        tdir.mkdir()
+        write_dataset_csv(target, tdir / "a.csv")
+        short = dataclasses.replace(
+            target, name="b", feature_matrix=target.feature_matrix[:2], labels=target.labels[:2], t=target.t[:2]
+        )
+        write_dataset_csv(short, tdir / "b.csv")
+
+        def no_training(*args):
+            raise AssertionError("trained a model")
+
+        monkeypatch.setattr(bench, "_run_method", no_training)
+        cfg = quick_config(str(tmp_path / "source.csv"), str(tdir), method, per_class=60)
+        with pytest.raises(ValueError, match=r"target file 'b' has no test windows: .*all of its 1 window\(s\)"):
+            run_experiment(cfg)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 import numpy as np
 
-from noseda.nets.common import Adam, adam_update
+from noseda.nets.common import Adam, adam_corrections, adam_update
 
 
 def textbook_adam(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -31,7 +31,7 @@ class TestAdamUpdate:
         t = [1, 7, 30]
         g = rng.normal(size=p.shape)
         expected = [textbook_adam(p[r], g[r], m[r], v[r], t[r], 0.01) for r in range(3)]
-        adam_update(p, g, m, v, t, 0.01, (np.empty_like(p), np.empty_like(p)))
+        adam_update(p, g, m, v, t, 0.01, (np.empty_like(p), np.empty_like(p)), corrections=adam_corrections(30))
         for r in range(3):
             assert np.array_equal(p[r], expected[r][0])
             assert np.array_equal(m[r], expected[r][1])

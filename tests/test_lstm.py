@@ -145,9 +145,66 @@ class TestTrain:
         assert lstm_loss(params, X, y) < trace[0]
 
 
+def textbook_loss_grad(params, X, labels, drop):
+    """Reference forward pass and BPTT of one network, written out from the
+    zero initial state with zero-initialized gradient sums: the arithmetic
+    the trainer must reproduce bit for bit."""
+    B, h = len(X), params.hidden_dim
+    y = np.asarray(labels) - 1
+    hs = np.zeros((B, h))
+    cs = np.zeros_like(hs)
+    steps = []
+    for t in range(2):
+        x = X[:, t, :]
+        z = x @ params.wx + hs @ params.wh + params.b
+        ifo = 1.0 / (1.0 + np.exp(-z[:, : 3 * h]))
+        i, f, o = ifo[:, :h], ifo[:, h : 2 * h], ifo[:, 2 * h :]
+        g = np.tanh(z[:, 3 * h :])
+        c = f * cs + i * g
+        hc = np.tanh(c)
+        steps.append({"x": x, "h_prev": hs, "c_prev": cs, "i": i, "f": f, "o": o, "g": g, "hc": hc})
+        hs, cs = o * hc, c
+    h_final = hs if drop is None else hs * drop
+    logits = h_final @ params.w_out + params.b_out
+    zm = logits - logits.max(axis=1, keepdims=True)
+    log_probs = zm - np.log(np.exp(zm).sum(axis=1, keepdims=True))
+    loss = -log_probs[np.arange(B), y].sum() / B
+
+    dlogits = (np.exp(log_probs) - np.eye(params.n_classes)[y]) / B
+    d_w_out = h_final.T @ dlogits
+    d_b_out = dlogits.sum(axis=0)
+    dh = dlogits @ params.w_out.T
+    if drop is not None:
+        dh = dh * drop
+    d_wx = np.zeros_like(params.wx)
+    d_wh = np.zeros_like(params.wh)
+    d_b = np.zeros_like(params.b)
+    dc_next = np.zeros((B, h))
+    for t in (1, 0):
+        s = steps[t]
+        do = dh * s["hc"]
+        dc = dh * s["o"] * (1.0 - s["hc"] ** 2) + dc_next
+        dz = np.concatenate(
+            [
+                dc * s["g"] * s["i"] * (1.0 - s["i"]),
+                dc * s["c_prev"] * s["f"] * (1.0 - s["f"]),
+                do * s["o"] * (1.0 - s["o"]),
+                dc * s["i"] * (1.0 - s["g"] ** 2),
+            ],
+            axis=1,
+        )
+        d_wx += s["x"].T @ dz
+        d_wh += s["h_prev"].T @ dz
+        d_b += dz.sum(axis=0)
+        dh = dz @ params.wh.T
+        dc_next = dc * s["f"]
+    return float(loss), (d_wx, d_wh, d_b, d_w_out, d_b_out)
+
+
 def sequential_train(X, y, config):
     """Reference trainer: one network, one minibatch at a time, through the
-    public gradient and Adam; the loop the lockstep trainer must reproduce."""
+    textbook gradient and ``Adam.step``; the loop the lockstep trainer must
+    reproduce."""
     rng = np.random.default_rng(config.seed)
     params = lstm_init(X.shape[2], seed=int(rng.integers(2**63)))
     arrays = params.arrays()
@@ -157,11 +214,36 @@ def sequential_train(X, y, config):
         total = 0.0
         for idx in minibatch_indices(len(y), config.batch_size, rng):
             drop = dropout_mask(rng, (len(idx), params.hidden_dim), config.dropout)
-            loss, grads = lstm_loss_grad(params, X[idx], y[idx], drop)
+            loss, grads = textbook_loss_grad(params, X[idx], y[idx], drop)
             opt.step(arrays, grads)
             total += loss * len(idx)
         trace.append(total / len(y))
     return params, trace
+
+
+def same_bits(a, b):
+    """Equal values and equal sign bits (``array_equal`` takes -0.0 == 0.0)."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestLossGrad:
+    @pytest.mark.parametrize("head", ["zero", "random"])
+    @pytest.mark.parametrize("B", [1, 5, 32])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_matches_textbook_bits(self, rng, head, B, dropout):
+        # the zero head of a fresh network makes every LSTM gradient a
+        # signed zero, so the sign bits are checked as well as the values
+        for seed in range(5):
+            params = lstm_init(3, seed=seed)
+            if head == "random":
+                params = replace(params, b=0.3 * rng.normal(size=16), w_out=rng.normal(size=(4, 4)))
+            X, y = separable_windows(rng, n=B)
+            drop = dropout_mask(rng, (B, params.hidden_dim), dropout)
+            loss, grads = lstm_loss_grad(params, X, y, drop)
+            ref_loss, ref_grads = textbook_loss_grad(params, X, y, drop)
+            assert loss == ref_loss
+            for g, r in zip(grads, ref_grads):
+                assert g.shape == r.shape and same_bits(g, r)
 
 
 class TestTrainMany:
@@ -185,8 +267,8 @@ class TestTrainMany:
             ref, ref_trace = sequential_train(X, y, cfg)
             single, single_trace = lstm_train(X, y, cfg, return_trace=True)
             for a, b, c in zip(p.arrays(), ref.arrays(), single.arrays()):
-                assert np.array_equal(a, b)
-                assert np.array_equal(a, c)
+                assert same_bits(a, b)
+                assert same_bits(a, c)
             assert np.array_equal(trace, ref_trace)
             assert trace == single_trace
 

@@ -7,12 +7,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import noseda.pipeline as pipeline_mod
 from noseda.gmm import GmmParams
 from noseda.ingest import StandardizationStats, WindowSample, as_window_set, flatten_windows, stack_windows
 from noseda.nets import TrainConfig, lstm_train
-from noseda.nets.lstm import LstmParams, lstm_predict
+from noseda.nets.lstm import LstmParams, lstm_predict, lstm_predict_proba
 from noseda.pipeline import (
     ClusterExpert,
     HierarchicalModel,
@@ -178,6 +180,33 @@ class TestRouting:
                 expected = int(np.argmax(counts))
             assert got[j] == expected
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_ties_go_to_the_lower_cluster(self, data):
+        # few distinct distributions and small histograms, so that experts
+        # tie on a shot's probability, on its argmax and on its count
+        k = data.draw(st.integers(1, 4), label="k")
+        weight_sets = data.draw(st.lists(st.tuples(*[st.sampled_from([1.0, 2.0, 3.0])] * 4), min_size=1, max_size=3))
+        experts = [
+            bias_expert(
+                data.draw(st.sampled_from(weight_sets)), c, hist=data.draw(st.tuples(*[st.integers(0, 2)] * 4))
+            )
+            for c in range(k)
+        ]
+        labels = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=8), label="labels")
+        shots = [window(np.full((2, 2), float(j)), y) for j, y in enumerate(labels)]
+
+        got = route_few_shot(experts, shots)
+
+        for shot, cluster in zip(shots, got):
+            y = shot.y - 1
+            probs = [lstm_predict_proba(e.expert_before, shot.x[None])[0] for e in experts]
+            if any(int(np.argmax(p)) == y for p in probs):
+                scores = [p[y] for p in probs]
+            else:
+                scores = [int(e.source_label_histogram[y]) for e in experts]
+            assert cluster == min(c for c in range(k) if scores[c] == max(scores))
+
     def test_every_shot_gets_exactly_one_cluster(self, rng):
         for seed in range(10):
             r = np.random.default_rng(seed)
@@ -308,6 +337,12 @@ class TestPredict:
         model = fit(ws, shots, k=2, config=FAST)
         preds = predict_batch(model, rng.normal(size=(30, 2, 2)))
         assert set(np.unique(preds)).issubset({1, 2, 3, 4})
+
+    def test_zero_windows_give_no_predictions(self, rng):
+        ws = two_cluster_windows(rng, n_per=15)
+        model = fit(ws, ws[::7], k=2, config=FAST)
+        preds = predict_batch(model, rng.normal(size=(3, 2, 2))[:0])
+        assert preds.dtype == np.int64 and preds.shape == (0,)
 
     def test_predict_is_pure(self, rng):
         ws = two_cluster_windows(rng, n_per=15)
