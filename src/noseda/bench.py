@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -261,6 +262,10 @@ class ExperimentConfig:
             raise ValueError(f"ExperimentConfig.dropout must be in [0, 1), got {self.dropout}")
         if not self.l2 >= 0:
             raise ValueError(f"ExperimentConfig.l2 must be >= 0, got {self.l2}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"ExperimentConfig.learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"ExperimentConfig.seed must be >= 0, got {self.seed}")
 
     def train_config(self, seed: int | None = None) -> TrainConfig:
         return TrainConfig(

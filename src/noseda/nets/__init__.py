@@ -15,7 +15,6 @@ from .lstm import (
 from .mlp import (
     MlpParams,
     mlp_init,
-    mlp_loss,
     mlp_loss_grad,
     mlp_predict_labels,
     mlp_predict_proba,
@@ -42,7 +41,6 @@ __all__ = [
     "lstm_train",
     "MlpParams",
     "mlp_init",
-    "mlp_loss",
     "mlp_loss_grad",
     "mlp_predict_labels",
     "mlp_predict_proba",

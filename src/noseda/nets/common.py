@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,10 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class Adam:
@@ -156,11 +161,12 @@ def flatten_arrays(arrays) -> np.ndarray:
     return np.concatenate([np.asarray(a).ravel() for a in arrays])
 
 
-def unflatten_arrays(vec: np.ndarray, shapes) -> list[np.ndarray]:
-    out = []
-    pos = 0
+def flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of the last axis of ``flat``, one per shape, each
+    keeping ``flat``'s leading axes: the arrays ``flatten_arrays`` joined."""
+    views, pos = [], 0
     for shape in shapes:
-        size = int(np.prod(shape))
-        out.append(vec[pos : pos + size].reshape(shape).copy())
+        size = math.prod(shape)
+        views.append(flat[..., pos : pos + size].reshape(flat.shape[:-1] + tuple(shape)))
         pos += size
-    return out
+    return views

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import flatten_arrays, unflatten_arrays
+from .common import flat_views, flatten_arrays
 from .lstm import LstmParams, lstm_loss_grad
 from .mlp import MlpParams, mlp_loss_grad
 from .softmax_regression import SoftmaxRegressionParams, softmax_loss_grad
@@ -39,29 +39,24 @@ def grad_check(objective, theta: np.ndarray, eps: float = 1e-5) -> float:
     return float(rel.max())
 
 
-def _vector_objective(loss_grad, params_cls, like, *args):
-    shapes = [a.shape for a in like.arrays()]
+def _vector_objective(loss_grad, params, *args):
+    """(objective over a flat parameter vector, the vector of ``params``)."""
+    shapes = [a.shape for a in params.arrays()]
 
     def objective(vec):
-        p = params_cls(*unflatten_arrays(vec, shapes))
-        loss, grads = loss_grad(p, *args)
+        loss, grads = loss_grad(type(params)(*flat_views(vec, shapes)), *args)
         return loss, flatten_arrays(grads)
 
-    return objective
+    return objective, flatten_arrays(params.arrays())
 
 
 def lstm_objective(params: LstmParams, window: np.ndarray, label: int):
-    obj = _vector_objective(lstm_loss_grad, LstmParams, params, np.asarray(window)[None], np.asarray([label]))
-    return obj, flatten_arrays(params.arrays())
+    return _vector_objective(lstm_loss_grad, params, np.asarray(window)[None], np.asarray([label]))
 
 
 def mlp_objective(params: MlpParams, x: np.ndarray, label: int):
-    obj = _vector_objective(mlp_loss_grad, MlpParams, params, np.asarray(x)[None], np.asarray([label]))
-    return obj, flatten_arrays(params.arrays())
+    return _vector_objective(mlp_loss_grad, params, np.asarray(x)[None], np.asarray([label]))
 
 
 def softmax_objective(params: SoftmaxRegressionParams, x: np.ndarray, y_idx: int, l2: float = 0.0):
-    obj = _vector_objective(
-        softmax_loss_grad, SoftmaxRegressionParams, params, np.asarray(x)[None], np.asarray([y_idx]), l2
-    )
-    return obj, flatten_arrays(params.arrays())
+    return _vector_objective(softmax_loss_grad, params, np.asarray(x)[None], np.asarray([y_idx]), l2)

@@ -28,6 +28,7 @@ from .common import (
     adam_corrections,
     adam_update,
     cross_entropy_from_logits,
+    flat_views,
     flatten_arrays,
     labels_to_indices,
     log_softmax,
@@ -174,17 +175,6 @@ def _gate_grad(dh: np.ndarray, dc_next, step: dict, c_prev, dz: np.ndarray) -> n
     return dc
 
 
-def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive views of the last axis of ``flat``, one per shape, each
-    keeping ``flat``'s leading axes."""
-    views, pos = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[..., pos : pos + size].reshape(flat.shape[:-1] + tuple(shape)))
-        pos += size
-    return views
-
-
 def _loss_grad(params: LstmParams, X: np.ndarray, y: np.ndarray, y_hot: np.ndarray, drop: np.ndarray | None, grad):
     """Mean cross-entropy on checked inputs, with its BPTT gradient written
     into ``grad``, a (..., P) buffer laid out like the flattened
@@ -201,7 +191,7 @@ def _loss_grad(params: LstmParams, X: np.ndarray, y: np.ndarray, y_hot: np.ndarr
     picked = log_probs.reshape(-1)[np.arange(0, log_probs.size, log_probs.shape[-1]) + y.reshape(-1)]
     loss = -np.add.reduce(picked.reshape(y.shape), axis=-1) / B  # ndarray.mean's arithmetic, less overhead
 
-    d_wx, d_wh, d_b, d_w_out, d_b_out = _views(grad, params.shapes())
+    d_wx, d_wh, d_b, d_w_out, d_b_out = flat_views(grad, params.shapes())
     dlogits = np.subtract(probs, y_hot, out=probs)
     dlogits /= B
     np.matmul(cache["h_final"].swapaxes(-1, -2), dlogits, out=d_w_out)
@@ -235,7 +225,7 @@ def lstm_loss_grad(params: LstmParams, X: np.ndarray, labels: np.ndarray, drop: 
     shapes = params.shapes()
     grad = np.empty(sum(math.prod(shape) for shape in shapes))
     loss = _loss_grad(params, X, y, one_hot(y, params.n_classes), drop, grad)
-    return float(loss), tuple(_views(grad, shapes))
+    return float(loss), tuple(flat_views(grad, shapes))
 
 
 def _lockstep_schedule(n: Sequence[int], batch_size: int) -> list[tuple[int, int, int, int]]:
@@ -314,7 +304,7 @@ def lstm_train_many(
     inits = [lstm_init(d, seed=int(rng.integers(2**63))) for rng in rngs]
     # one flat row of parameters per model, so Adam updates a group in one pass
     flat = np.stack([flatten_arrays(p0.arrays()) for p0 in inits])
-    views = _views(flat, inits[0].shapes())
+    views = flat_views(flat, inits[0].shapes())
     adam_m = np.zeros_like(flat)
     adam_v = np.zeros_like(flat)
     adam_s1, adam_s2 = np.empty_like(flat), np.empty_like(flat)

@@ -15,8 +15,8 @@ from .common import (
     N_CLASSES,
     TrainConfig,
     adam_update,
-    cross_entropy_from_logits,
     dropout_mask,
+    flat_views,
     flatten_arrays,
     labels_to_indices,
     log_softmax,
@@ -100,12 +100,6 @@ def mlp_predict_labels(params: MlpParams, X: np.ndarray) -> np.ndarray:
     return np.argmax(mlp_predict_proba(params, X), axis=1) + 1
 
 
-def mlp_loss(params: MlpParams, X: np.ndarray, labels: np.ndarray) -> float:
-    y = labels_to_indices(labels, params.n_classes)
-    logits, _ = _forward(params, _check_input(params, X))
-    return cross_entropy_from_logits(logits, y)
-
-
 def _loss_grad(params: MlpParams, X: np.ndarray, y: np.ndarray, y_hot: np.ndarray, drop1, drop2, grads):
     """Mean cross-entropy and gradients on checked inputs, written into
     ``grads``: six arrays shaped like ``params.arrays()``.
@@ -171,14 +165,10 @@ def mlp_train(
 
     rng = np.random.default_rng(config.seed)
     init = mlp_init(d, hidden=hidden, seed=int(rng.integers(2**63)))
+    shapes = [a.shape for a in init.arrays()]
     flat = flatten_arrays(init.arrays())
     grad = np.empty_like(flat)
-    views, grads, pos = [], [], 0
-    for a in init.arrays():
-        views.append(flat[pos : pos + a.size].reshape(a.shape))
-        grads.append(grad[pos : pos + a.size].reshape(a.shape))
-        pos += a.size
-    params = MlpParams(*views)
+    params, grads = MlpParams(*flat_views(flat, shapes)), flat_views(grad, shapes)
     adam_m, adam_v = np.zeros_like(flat), np.zeros_like(flat)
     scratch = (np.empty_like(flat), np.empty_like(flat))
     h1, h2 = hidden
@@ -194,7 +184,7 @@ def mlp_train(
             adam_update(flat, grad, adam_m, adam_v, t, config.learning_rate, scratch)
             total += loss * len(idx)
         trace.append(total / n)
-    params = MlpParams(*(v.copy() for v in views))
+    params = MlpParams(*(v.copy() for v in params.arrays()))
     if return_trace:
         return params, trace
     return params

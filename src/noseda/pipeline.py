@@ -124,51 +124,37 @@ def _histogram(labels: np.ndarray) -> np.ndarray:
     return np.bincount(labels, minlength=5)[1:5]
 
 
-def _cluster_members(assignment: np.ndarray, k: int) -> list[np.ndarray]:
-    """Source-window indices of each cluster; an empty cluster is an error."""
-    members = []
-    for c in range(k):
-        idx = np.flatnonzero(assignment == c)
-        if idx.size == 0:
-            raise ValueError(f"cluster {c} received no source windows; retry with a different seed")
-        members.append(idx)
-    return members
+def _stack(parts: Sequence[Windows]) -> tuple[np.ndarray, np.ndarray]:
+    """The (X, y) arrays of the nonempty parts' windows, end to end."""
+    sets = [as_window_set(part) for part in parts if len(part)]
+    return np.concatenate([s.X for s in sets]), np.concatenate([s.y for s in sets])
 
 
-def _train_networks(stage: str, jobs: Sequence[tuple[np.ndarray, np.ndarray, TrainConfig, int]]) -> list[LstmParams]:
-    """Train (X, y, run config, cluster id) jobs in one lockstep call; each
-    network seeds from ``stage_seed(run seed, stage, cluster id)``."""
-    return lstm_train_many(
-        [X for X, _, _, _ in jobs],
-        [y for _, y, _, _ in jobs],
-        [replace(cfg, seed=stage_seed(cfg.seed, stage, c)) for _, _, cfg, c in jobs],
-    )
+def _members(gmm: GmmParams, flats: np.ndarray) -> list[np.ndarray]:
+    """The source-window indices of each GMM cluster, in source order."""
+    assignment = gmm_assign(gmm, flats)
+    return [np.flatnonzero(assignment == c) for c in range(gmm.k)]
 
 
-def _train_source_experts(
-    X: np.ndarray, y: np.ndarray, members_per_run: Sequence[list[np.ndarray]], configs: Sequence[TrainConfig]
-) -> list[list[ClusterExpert]]:
-    """Stage 2 for many runs: every run's per-cluster experts in one lockstep call."""
-    jobs = [(X[idx], y[idx], cfg, c) for members, cfg in zip(members_per_run, configs) for c, idx in enumerate(members)]
-    params = iter(_train_networks("expert", jobs))
-    return [
-        [ClusterExpert(c, next(params), None, _histogram(y[idx])) for c, idx in enumerate(members)]
-        for members in members_per_run
-    ]
+def _adaptation_set(members: np.ndarray, n_source: int, routed: Sequence[int], c: int) -> np.ndarray:
+    """Cluster ``c``'s adaptation set, as indices into the source windows
+    followed by the shots: its source windows ``members`` in source order,
+    then the shots routed to it in shot order."""
+    return np.concatenate([members, n_source + np.flatnonzero(np.asarray(routed) == c)])
 
 
-def _source_stages(source: WindowSet, k: int, configs: Sequence[TrainConfig]):
-    """Stages 1-2 for several seeds: one GMM per config, then all k experts of
-    every config in one lockstep call.  Returns (gmms, members, experts), one
-    entry per config."""
-    flats = source.flat
-    if len(source) < k:
-        raise ValueError(f"need at least k={k} source windows, got {len(source)}")
-    gmms, members = [], []
-    for cfg in configs:
-        gmms.append(gmm_fit(flats, k=k, seed=stage_seed(cfg.seed, "gmm")))
-        members.append(_cluster_members(gmm_assign(gmms[-1], flats), k))
-    return gmms, members, _train_source_experts(source.X, source.y, members, configs)
+def _train_networks(stage: str, parts, sets_per_run, configs) -> list[list[LstmParams]]:
+    """Train one network per (cluster id, window indices) pair of every run,
+    all in one lockstep call, with the run's config seeded by
+    ``stage_seed(run seed, stage, cluster id)``.  The indices address the
+    windows of ``parts`` end to end; callers keep only indices, and the
+    window copies are made here.  Returns the networks per run."""
+    jobs = [(c, idx, cfg) for sets, cfg in zip(sets_per_run, configs) for c, idx in sets]
+    X, y = _stack(parts)
+    Xs, ys = [X[idx] for _, idx, _ in jobs], [y[idx] for _, idx, _ in jobs]
+    del X, y  # only the copies live on through training
+    params = iter(lstm_train_many(Xs, ys, [replace(cfg, seed=stage_seed(cfg.seed, stage, c)) for c, _, cfg in jobs]))
+    return [[next(params) for _ in sets] for sets in sets_per_run]
 
 
 def route_few_shot(experts: Sequence[ClusterExpert], shots: Windows) -> tuple[int, ...]:
@@ -189,22 +175,6 @@ def route_few_shot(experts: Sequence[ClusterExpert], shots: Windows) -> tuple[in
     return tuple(routed.tolist())
 
 
-def _train_adapted(
-    experts_per_run: Sequence[Sequence[ClusterExpert]],
-    sets_per_run: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
-    configs: Sequence[TrainConfig],
-) -> list[list[ClusterExpert]]:
-    """Stage 4 for many runs: a fresh expert per cluster on its (X, y) set,
-    every run's experts in one lockstep call."""
-    jobs = [
-        (X, y, cfg, e.cluster_id)
-        for experts, sets, cfg in zip(experts_per_run, sets_per_run, configs)
-        for e, (X, y) in zip(experts, sets)
-    ]
-    params = iter(_train_networks("adapt", jobs))
-    return [[replace(e, expert_after=next(params)) for e in experts] for experts in experts_per_run]
-
-
 def adapt_experts(
     experts: Sequence[ClusterExpert],
     source_windows_by_cluster: Sequence[Windows],
@@ -219,17 +189,11 @@ def adapt_experts(
     """
     if len(assignments) != len(shots):
         raise ValueError("assignments must cover all shots")
-    to = np.asarray(assignments, dtype=np.int64)
-    shots = as_window_set(shots) if len(shots) else None
-    sets = []
-    for e in experts:
-        source = source_windows_by_cluster[e.cluster_id]
-        parts = [as_window_set(source)] if len(source) else []
-        if shots is not None:
-            parts.append(shots[to == e.cluster_id])
-        joined = WindowSet.concat(parts)
-        sets.append((joined.X, joined.y))
-    return _train_adapted([experts], [sets], [config])[0]
+    ends = np.cumsum([len(w) for w in source_windows_by_cluster])
+    members = [np.arange(end - len(w), end) for w, end in zip(source_windows_by_cluster, ends)]
+    sets = [(c, _adaptation_set(members[c], ends[-1], assignments, c)) for c in (e.cluster_id for e in experts)]
+    networks = _train_networks("adapt", [*source_windows_by_cluster, shots], [sets], [config])[0]
+    return [replace(e, expert_after=net) for e, net in zip(experts, networks)]
 
 
 def fit_gate(
@@ -270,31 +234,44 @@ def _fit_staged(
     """``fit`` once per config, stage by stage across the configs.
 
     GMM, routing and gate run per config; the source experts of all configs
-    train in one ``lstm_train_many`` call, and so do the adapted experts.  Each
-    model is bit-identical to what a lone fit with its config would build.
+    train in one ``lstm_train_many`` call, and so do the adapted experts.
+    Between the stages a cluster is an index array, never a copy of its
+    windows.  Each model is bit-identical to what a lone fit with its config
+    would build.
     """
-    gmms, members, experts = _source_stages(source, k, configs)
+    if len(source) < k:
+        raise ValueError(f"need at least k={k} source windows, got {len(source)}")
+    flats, n = source.flat, len(source)
+    gmms, members = [], []
+    for cfg in configs:
+        gmms.append(gmm_fit(flats, k=k, seed=stage_seed(cfg.seed, "gmm")))
+        members.append(_members(gmms[-1], flats))
+        sizes = [idx.size for idx in members[-1]]
+        if 0 in sizes:
+            raise ValueError(f"cluster {sizes.index(0)} received no source windows; retry with a different seed")
+    networks = _train_networks("expert", [source], [list(enumerate(m)) for m in members], configs)
+    experts = [
+        [ClusterExpert(c, net, None, _histogram(source.y[idx])) for c, (idx, net) in enumerate(zip(run_members, nets))]
+        for run_members, nets in zip(members, networks)
+    ]
     routes, gates = [], []
     for run_experts in experts:
         routes.append(route_few_shot(run_experts, shots))
         gates.append(fit_gate(shots, routes[-1], k, l2=gate_l2))
-    sets = []
-    for run_members, route in zip(members, routes):
-        to = np.asarray(route)  # each cluster trains on its source windows plus its routed shots
-        sets.append(
-            [
-                (np.concatenate([source.X[idx], shots.X[to == c]]), np.concatenate([source.y[idx], shots.y[to == c]]))
-                for c, idx in enumerate(run_members)
-            ]
-        )
-    experts = _train_adapted(experts, sets, configs)
+    sets = [
+        [(c, _adaptation_set(idx, n, route, c)) for c, idx in enumerate(run_members)]
+        for run_members, route in zip(members, routes)
+    ]
+    del members  # the sets hold them: one index array per cluster lives on through training
+    networks = _train_networks("adapt", [source, shots], sets, configs)
     if stats is None:
         stats = StandardizationStats.identity(source.X.shape[2])
     return [
         HierarchicalModel(
-            gmm=gmm, experts=tuple(run_experts), gate=gate, stats=stats, shot_assignments=route, fit_seed=cfg.seed
+            gmm=gmm, experts=tuple(replace(e, expert_after=net) for e, net in zip(run_experts, nets)), gate=gate,
+            stats=stats, shot_assignments=route, fit_seed=cfg.seed,
         )
-        for gmm, run_experts, gate, route, cfg in zip(gmms, experts, gates, routes, configs)
+        for gmm, run_experts, nets, gate, route, cfg in zip(gmms, experts, networks, gates, routes, configs)
     ]
 
 
@@ -520,25 +497,23 @@ class ObjectiveValues:
 
 def evaluate_objective(model: HierarchicalModel, source_windows: Windows, shots: Windows) -> ObjectiveValues:
     source = as_window_set(source_windows)
-    shots = as_window_set(shots) if len(shots) else source[:0]
-    assignment = gmm_assign(model.gmm, source.flat)
-    shot_assign = np.asarray(model.shot_assignments if len(shots) else (), dtype=np.int64)
-
+    X, y = _stack([source, shots])
+    shot_assign = model.shot_assignments if len(shots) else ()
     total_before = total_after = 0.0
     n_after = 0
-    for e in model.experts:
-        idx = np.flatnonzero(assignment == e.cluster_id)
+    for e, idx in zip(model.experts, _members(model.gmm, source.flat)):
         if idx.size:
-            total_before += lstm_loss(e.expert_before, source.X[idx], source.y[idx]) * idx.size
+            total_before += lstm_loss(e.expert_before, X[idx], y[idx]) * idx.size
         # adapted experts are scored on the same augmented set they trained on
-        sel = shot_assign == e.cluster_id
-        y = np.concatenate([source.y[idx], shots.y[sel]])
-        if y.size:
-            total_after += lstm_loss(e.expert_after, np.concatenate([source.X[idx], shots.X[sel]]), y) * y.size
-            n_after += y.size
+        sel = _adaptation_set(idx, len(source), shot_assign, e.cluster_id)
+        if sel.size:
+            total_after += lstm_loss(e.expert_after, X[sel], y[sel]) * sel.size
+            n_after += sel.size
 
     e1 = total_before / len(source)
-    e2 = softmax_loss(model.gate.params, shots.flat, shot_assign, l2=0.0) if len(shots) else 0.0
+    e2 = 0.0
+    if len(shots):
+        e2 = softmax_loss(model.gate.params, as_window_set(shots).flat, np.asarray(shot_assign), l2=0.0)
     e3 = total_after / n_after
     return ObjectiveValues(source_expert_loss=e1, gate_loss=float(e2), adapted_expert_loss=e3)
 

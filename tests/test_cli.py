@@ -171,6 +171,11 @@ def test_valid_config_with_missing_data_fails_at_ingest(tmp_path, capsys):
         ("dropout", 1.0, "dropout must be in [0, 1), got 1.0"),
         ("dropout", -0.1, "dropout must be in [0, 1), got -0.1"),
         ("l2", -1e-4, "l2 must be >= 0, got -0.0001"),
+        ("learning_rate", float("nan"), "learning_rate must be finite and > 0, got nan"),
+        ("learning_rate", float("inf"), "learning_rate must be finite and > 0, got inf"),
+        ("learning_rate", 0.0, "learning_rate must be finite and > 0, got 0.0"),
+        ("learning_rate", -1.0, "learning_rate must be finite and > 0, got -1.0"),
+        ("seed", -1, "seed must be >= 0, got -1"),
     ],
 )
 def test_out_of_range_config_fails_before_ingest(tmp_path, capsys, field, value, message):

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from noseda import write_dataset_csv
 from noseda.ingest import (
     DEFAULT_DROP,
+    STD_FLOOR,
     SequenceDataset,
     StandardizationStats,
     WindowSample,
@@ -441,6 +442,23 @@ class TestIngestProperties:
             assert np.array_equal(bits(w.x), bits(np.stack((F[i], F[i + 1]))))
             assert w.y == ds.labels[i + 1]
             assert w.origin_t == ds.t[i + 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 25), st.integers(1, 4), st.data())
+    def test_standardization_inverts(self, n, d, data):
+        """``z * std + mean`` recovers every feature to within a few roundings
+        of its magnitude: four operations, each off by at most half an ulp,
+        plus underflow in the subnormal range.  Constant channels, whose std
+        is floored, are covered too."""
+        F = data.draw(arrays(np.float64, (n, d), elements=st.floats(-1e6, 1e6, allow_subnormal=True)))
+        constant = np.array(data.draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+        F[:, constant] = F[0, constant]
+        ds = dataset_from_arrays(F, np.ones(n))
+        stats = fit_standardizer(ds)
+        assert np.all(stats.std[constant] == STD_FLOOR)
+        recovered = apply_standardizer(ds, stats).feature_matrix * stats.std + stats.mean
+        tol = 4 * np.finfo(np.float64).eps * (np.abs(F) + np.abs(stats.mean)) + 1e-300
+        assert np.all(np.abs(recovered - F) <= tol)
 
     @settings(max_examples=40, deadline=None)
     @given(sequences())

@@ -325,6 +325,11 @@ class TestConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+        for lr in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+                TrainConfig(learning_rate=lr)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
 
 
 class TestSerialization:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noseda.pipeline as pipeline_mod
-from noseda.gmm import GmmParams
+from noseda.gmm import GmmParams, gmm_assign, gmm_fit
 from noseda.ingest import StandardizationStats, WindowSample, as_window_set, flatten_windows, stack_windows
 from noseda.nets import TrainConfig, lstm_train
 from noseda.nets.lstm import LstmParams, lstm_predict, lstm_predict_proba
@@ -587,6 +587,40 @@ class TestEquivariance:
         base = predict_batch(fit(ws, shots, k=2, config=cfg), test_X)
         permuted = predict_batch(fit(permute(ws), permute(shots), k=2, config=cfg), test_X)
         assert np.array_equal(np.array([perm[int(v)] for v in base]), permuted)
+
+
+class TestStagesRebuildFit:
+    """``fit`` is its public stages in sequence: rebuilt from them, call by
+    call, it gives the same model bytes."""
+
+    @staticmethod
+    def rebuilt_fit(source, shots, k, cfg):
+        flats = flatten_windows(source)
+        gmm = gmm_fit(flats, k=k, seed=stage_seed(cfg.seed, "gmm"))
+        assignment = gmm_assign(gmm, flats)
+        by_cluster = [[w for w, a in zip(source, assignment) if a == c] for c in range(k)]
+        experts = []
+        for c, members in enumerate(by_cluster):
+            X, y = stack_windows(members)
+            net = lstm_train(X, y, replace(cfg, seed=stage_seed(cfg.seed, "expert", c)))
+            experts.append(ClusterExpert(c, net, None, np.bincount(y, minlength=5)[1:5]))
+        routed = route_few_shot(experts, shots)
+        gate = fit_gate(shots, routed, k)
+        experts = adapt_experts(experts, by_cluster, shots, routed, cfg)
+        stats = StandardizationStats.identity(source[0].x.shape[1])
+        model = HierarchicalModel(gmm, tuple(experts), gate, stats, routed, fit_seed=cfg.seed)
+        return model, routed
+
+    @pytest.mark.parametrize("shots_from", ["both clusters", "one cluster"])
+    def test_model_bytes_equal_fit(self, rng, shots_from):
+        source = two_cluster_windows(rng, n_per=30)
+        target = two_cluster_windows(np.random.default_rng(9), n_per=10)
+        # labels 1, 2 lie in one cluster and 3, 4 in the other
+        shots = target[::3] if shots_from == "both clusters" else [w for w in target if w.y <= 2][::2]
+        cfg = replace(FAST, seed=5)
+        model, routed = self.rebuilt_fit(source, shots, 2, cfg)
+        assert len(set(routed)) == (2 if shots_from == "both clusters" else 1)
+        assert model_to_json_bytes(model) == model_to_json_bytes(fit(source, shots, k=2, config=cfg))
 
 
 class TestStructuralCollapse:
