@@ -8,13 +8,14 @@ before training (see ``ingest.flatten_windows``).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 log = logging.getLogger(__name__)
 
 _EPS_ERR = 1e-16
+_PAIRWISE_BLOCK = 512  # pool rows per distance block in _min_pairwise
 
 
 @dataclass(frozen=True)
@@ -151,17 +152,12 @@ def adaboost_votes(model: AdaBoostModel, X: np.ndarray) -> np.ndarray:
 
 def adaboost_predict(model: AdaBoostModel, x: np.ndarray) -> int:
     """Predicted class for one vector; vote ties go to the lower class id."""
-    votes = adaboost_votes(model, np.asarray(x)[None])[0]
-    return int(model.classes[int(np.argmax(votes))])
+    return int(adaboost_predict_many(model, np.asarray(x)[None])[0])
 
 
 def adaboost_predict_many(model: AdaBoostModel, X: np.ndarray) -> np.ndarray:
     votes = adaboost_votes(model, X)
     return np.asarray(model.classes)[np.argmax(votes, axis=1)]
-
-
-def _dist(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sqrt(((a - b) ** 2).sum()))
 
 
 def nearest_neighbor(pool: np.ndarray, x: np.ndarray) -> tuple[int, float]:
@@ -174,14 +170,14 @@ def nearest_neighbor(pool: np.ndarray, x: np.ndarray) -> tuple[int, float]:
     return i, float(d[i])
 
 
-def _min_pairwise(pool: np.ndarray, block: int = 512) -> float:
+def _min_pairwise(pool: np.ndarray) -> float:
     """Minimum pairwise Euclidean distance; +inf for a singleton pool."""
     m = pool.shape[0]
     if m < 2:
         return float("inf")
     best = float("inf")
-    for start in range(0, m, block):
-        chunk = pool[start : start + block]
+    for start in range(0, m, _PAIRWISE_BLOCK):
+        chunk = pool[start : start + _PAIRWISE_BLOCK]
         d2 = ((chunk[:, None, :] - pool[None, :, :]) ** 2).sum(axis=2)
         rows = np.arange(chunk.shape[0])
         d2[rows, start + rows] = np.inf  # self distances
@@ -195,7 +191,7 @@ class NnSsState:
 
     pools: dict[int, np.ndarray]
     deltas: dict[int, float]
-    growth: dict[int, int] = field(default_factory=dict)
+    growth: dict[int, int]  # joins per class
 
 
 def ss_init(X: np.ndarray, labels: np.ndarray) -> NnSsState:
@@ -223,8 +219,9 @@ def ss_classify_stream(state: NnSsState, X_test: np.ndarray) -> list[int]:
 
     Each vector goes to the class whose nearest pool member is globally
     closest (ties to the lower class id).  When that distance is below the
-    winning class's delta, the vector joins the pool and delta shrinks by the
-    incremental minimum over distances to the new member.  Mutates ``state``.
+    winning class's delta, the vector joins the pool and that distance, the
+    new member's nearest-neighbour distance, becomes the delta.  Mutates
+    ``state``.
     """
     X_test = np.asarray(X_test, dtype=np.float64)
     preds: list[int] = []
@@ -236,9 +233,7 @@ def ss_classify_stream(state: NnSsState, X_test: np.ndarray) -> list[int]:
                 best_c, best_d = c, d
         preds.append(best_c)
         if best_d < state.deltas[best_c]:
-            pool = state.pools[best_c]
-            new_min = float(np.sqrt(((pool - x) ** 2).sum(axis=1).min()))
-            state.pools[best_c] = np.vstack([pool, x])
-            state.deltas[best_c] = min(state.deltas[best_c], new_min)
-            state.growth[best_c] = state.growth.get(best_c, 0) + 1
+            state.pools[best_c] = np.vstack([state.pools[best_c], x])
+            state.deltas[best_c] = best_d
+            state.growth[best_c] += 1
     return preds

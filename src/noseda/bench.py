@@ -12,7 +12,6 @@ import csv
 import hashlib
 import json
 import logging
-import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -255,25 +254,23 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}; supported: {METHODS}")
         if self.eval_mode not in ("refit", "repredict"):
             raise ValueError(f"ExperimentConfig.eval_mode must be 'refit' or 'repredict', got {self.eval_mode!r}")
-        for name in ("k", "runs", "evals", "per_class", "epochs", "batch_size", "n_estimators"):
+        for name in ("k", "runs", "evals", "per_class", "n_estimators"):
             if getattr(self, name) < 1:
                 raise ValueError(f"ExperimentConfig.{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 <= self.dropout < 1:
-            raise ValueError(f"ExperimentConfig.dropout must be in [0, 1), got {self.dropout}")
         if not self.l2 >= 0:
             raise ValueError(f"ExperimentConfig.l2 must be >= 0, got {self.l2}")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"ExperimentConfig.learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.seed < 0:
-            raise ValueError(f"ExperimentConfig.seed must be >= 0, got {self.seed}")
+        try:  # the training fields, by TrainConfig's own checks
+            self.train_config()
+        except ValueError as exc:
+            raise ValueError(f"ExperimentConfig.{exc}") from None
 
-    def train_config(self, seed: int | None = None) -> TrainConfig:
+    def train_config(self) -> TrainConfig:
         return TrainConfig(
             epochs=self.epochs,
             dropout=self.dropout,
             learning_rate=self.learning_rate,
             batch_size=self.batch_size,
-            seed=self.seed if seed is None else seed,
+            seed=self.seed,
         )
 
 
@@ -323,8 +320,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     t0 = time.perf_counter()
     source_sets = _load_domain(config.source, config)
     target_sets = _load_domain(config.target, config)
+    first = source_sets[0]
+    for ds in source_sets + target_sets:
+        if ds.feature_names != first.feature_names:
+            raise ValueError(
+                f"file {ds.name!r} has feature columns {list(ds.feature_names)}, but file {first.name!r} has"
+                f" {list(first.feature_names)}: every source and target file needs the same columns in the same order"
+            )
 
-    d = len(source_sets[0].feature_names)
+    d = len(first.feature_names)
     stats = fit_standardizer(source_sets) if config.standardize else StandardizationStats.identity(d)
     source_sets = [apply_standardizer(ds, stats) for ds in source_sets]
     target_sets = [apply_standardizer(ds, stats) for ds in target_sets]
@@ -456,16 +460,9 @@ def emit_report(results: Sequence[ExperimentResult], out_base) -> tuple[Path, Pa
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump({"results": [to_json(r) for r in results]}, fh, indent=2)
 
-    pairs: list[str] = []
-    cells: dict[tuple[str, str], float] = {}
-    methods_present: list[str] = []
-    for r in results:
-        if r.pair not in pairs:
-            pairs.append(r.pair)
-        if r.method not in methods_present:
-            methods_present.append(r.method)
-        cells[(r.pair, r.method)] = r.pair_accuracy
-    methods = [m for m in _REPORT_ORDER if m in methods_present]
+    cells = {(r.pair, r.method): r.pair_accuracy for r in results}
+    pairs = list(dict.fromkeys(r.pair for r in results))
+    methods = [m for m in _REPORT_ORDER if any(r.method == m for r in results)]
 
     def fmt(v: float | None) -> str:
         return "" if v is None else f"{100.0 * v:.2f}"
@@ -473,12 +470,8 @@ def emit_report(results: Sequence[ExperimentResult], out_base) -> tuple[Path, Pa
     lines = ["| Source-Target | " + " | ".join(_METHOD_DISPLAY[m] for m in methods) + " |"]
     lines.append("|" + "---|" * (len(methods) + 1))
     for pair in pairs:
-        row = [fmt(cells.get((pair, m))) for m in methods]
-        lines.append(f"| {pair} | " + " | ".join(row) + " |")
-    avg_cells = []
-    for m in methods:
-        vals = [cells[(p, m)] for p in pairs if (p, m) in cells]
-        avg_cells.append(fmt(float(np.mean(vals)) if vals else None))
+        lines.append(f"| {pair} | " + " | ".join(fmt(cells.get((pair, m))) for m in methods) + " |")
+    avg_cells = [fmt(float(np.mean([cells[p, m] for p in pairs if (p, m) in cells]))) for m in methods]
     lines.append("| Avg | " + " | ".join(avg_cells) + " |")
     table_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return json_path, table_path

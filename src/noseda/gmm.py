@@ -14,6 +14,8 @@ import numpy as np
 
 VAR_FLOOR = 1e-6
 _WEIGHT_FLOOR = 1e-12
+MAX_ITER = 200
+TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -86,19 +88,12 @@ def _farthest_point_means(X: np.ndarray, k: int, rng: np.random.Generator) -> np
     return X[chosen].copy()
 
 
-def gmm_fit(
-    X: np.ndarray,
-    k: int = 2,
-    max_iter: int = 200,
-    tol: float = 1e-6,
-    seed: int = 0,
-    return_trace: bool = False,
-):
+def gmm_fit(X: np.ndarray, k: int = 2, seed: int = 0, return_trace: bool = False):
     """Fit a k-component diagonal GMM with EM.
 
     Seeding is farthest-point from a seeded RNG (single restart), so the fit
     is deterministic given (X, k, seed).  Stops when the log-likelihood
-    improves by less than ``tol`` or after ``max_iter`` iterations; variances
+    improves by less than ``TOL`` or after ``MAX_ITER`` iterations; variances
     are floored at 1e-6 every M-step.
 
     Returns GmmParams, or (GmmParams, trace) with the per-iteration
@@ -116,13 +111,13 @@ def gmm_fit(
 
     trace: list[float] = []
     prev_ll = -np.inf
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         params = GmmParams(weights=weights, means=means, variances=variances)
         lj = _log_joint(params, X)
         per_point = _logsumexp_rows(lj)
         ll = float(per_point.sum())
         trace.append(ll)
-        if ll - prev_ll < tol:
+        if ll - prev_ll < TOL:
             break
         prev_ll = ll
         resp = np.exp(lj - per_point[:, None])  # E-step

@@ -187,9 +187,10 @@ def load_csv(path, label_column: str = "label") -> SequenceDataset:
     """Read one CSV file into a SequenceDataset.
 
     The header names the columns; every column except ``label_column`` is a
-    numeric feature.  Labels must be integers in 1..4; the first offending
-    data row (1-based) is reported otherwise.  Blank lines are skipped but
-    still counted, both in row numbers and in the frames' ``t``.
+    numeric feature, and there must be at least one.  Labels must be
+    integers in 1..4; the first offending data row (1-based) is reported
+    otherwise.  Blank lines are skipped but still counted, both in row
+    numbers and in the frames' ``t``.
     """
     path = Path(path)
     if not path.is_file():
@@ -203,6 +204,8 @@ def load_csv(path, label_column: str = "label") -> SequenceDataset:
         header = [h.strip() for h in header]
         if label_column not in header:
             raise ValueError(f"{path}: no column named {label_column!r} in header {header}")
+        if len(header) == 1:
+            raise ValueError(f"{path}: no feature column besides {label_column!r}")
         label_idx = header.index(label_column)
         rows, row_nos = [], []
         for row_no, row in enumerate(reader, start=1):
@@ -282,7 +285,8 @@ def load_dataset(path, label_column: str = "label") -> list[SequenceDataset]:
 def harmonize(ds: SequenceDataset, drop: Sequence[str] = DEFAULT_DROP) -> SequenceDataset:
     """Remove the named feature columns where present (case-insensitive).
 
-    Absent names are skipped silently (logged).  Idempotent.
+    Absent names are skipped silently (logged).  Idempotent.  Dropping every
+    column is an error.
     """
     drop_lower = {name.lower() for name in drop}
     keep = [i for i, name in enumerate(ds.feature_names) if name.lower() not in drop_lower]
@@ -291,6 +295,8 @@ def harmonize(ds: SequenceDataset, drop: Sequence[str] = DEFAULT_DROP) -> Sequen
             log.debug("%s: none of %s present, nothing dropped", ds.name, sorted(drop_lower))
         return ds
     dropped = [n for n in ds.feature_names if n.lower() in drop_lower]
+    if not keep:
+        raise ValueError(f"{ds.name}: dropping columns {dropped} leaves no feature column")
     absent = sorted(drop_lower - {n.lower() for n in ds.feature_names})
     log.info("%s: dropped columns %s (absent: %s)", ds.name, dropped, absent)
     names = tuple(ds.feature_names[i] for i in keep)

@@ -9,6 +9,11 @@ import numpy as np
 
 N_CLASSES = 4
 
+# Adam's moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -34,11 +39,8 @@ class TrainConfig:
 class Adam:
     """Adam with bias correction; updates parameter arrays in place."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -47,49 +49,49 @@ class Adam:
     def step(self, params, grads) -> None:
         self.t += 1
         for p, g, m, v, s in zip(params, grads, self.m, self.v, self.scratch):
-            adam_update(p, g, m, v, self.t, self.lr, s, self.beta1, self.beta2, self.eps)
+            adam_update(p, g, m, v, self.t, self.lr, s)
 
 
-def adam_corrections(steps: int, beta1: float = 0.9, beta2: float = 0.999) -> np.ndarray:
+def adam_corrections(steps: int) -> np.ndarray:
     """The bias corrections of steps 0..``steps``: row t holds
-    ``(1 - beta1**t, 1 - beta2**t)``, each the Python float expression's value."""
-    return np.array([(1 - beta1**t, 1 - beta2**t) for t in range(steps + 1)])
+    ``(1 - BETA1**t, 1 - BETA2**t)``, each the Python float expression's value."""
+    return np.array([(1 - BETA1**t, 1 - BETA2**t) for t in range(steps + 1)])
 
 
-def adam_update(p, g, m, v, t, lr, scratch, beta1=0.9, beta2=0.999, eps=1e-8, corrections=None) -> None:
+def adam_update(p, g, m, v, t, lr, scratch, corrections=None) -> None:
     """One in-place Adam update of ``p`` and its moments ``m``, ``v``.
 
     ``t`` is the step count: an int, or an int array (or sequence) with one
     entry per row of a stack of models (``p.shape[0] == len(t)``), each row
     then taking its own bias correction.  A per-row ``t`` gathers its
     corrections from ``corrections``, an ``adam_corrections`` table covering
-    every entry of ``t`` and built with the same betas.  The corrections
-    ``1 - beta**t`` are Python floats either way, so a stacked row updates
+    every entry of ``t``.  The corrections ``1 - BETA1**t`` and
+    ``1 - BETA2**t`` are Python floats either way, so a stacked row updates
     bit for bit like a lone model.
 
     ``scratch`` is a pair of arrays shaped like ``p`` that receive the
     intermediates, so that a caller stepping many times allocates them once.
     The arithmetic is the textbook expression's, operation for operation:
-    ``v += ((1 - beta2) * g) * g`` and ``p -= (lr * m_hat) / (sqrt(v_hat) + eps)``.
+    ``v += ((1 - BETA2) * g) * g`` and ``p -= (lr * m_hat) / (sqrt(v_hat) + EPS)``.
     """
     if isinstance(t, int):
-        c1, c2 = 1 - beta1**t, 1 - beta2**t
+        c1, c2 = 1 - BETA1**t, 1 - BETA2**t
     else:
         c = corrections[t].reshape((-1,) + (1,) * (p.ndim - 1) + (2,))
         c1, c2 = c[..., 0], c[..., 1]
     s1, s2 = scratch
-    m *= beta1
-    np.multiply(g, 1 - beta1, out=s1)
+    m *= BETA1
+    np.multiply(g, 1 - BETA1, out=s1)
     m += s1
-    v *= beta2
-    np.multiply(g, 1 - beta2, out=s1)
+    v *= BETA2
+    np.multiply(g, 1 - BETA2, out=s1)
     s1 *= g
     v += s1
     np.divide(m, c1, out=s1)  # m_hat
     s1 *= lr
     np.divide(v, c2, out=s2)  # v_hat
     np.sqrt(s2, out=s2)
-    s2 += eps
+    s2 += EPS
     s1 /= s2
     p -= s1
 
@@ -121,11 +123,6 @@ def one_hot(idx: np.ndarray, k: int) -> np.ndarray:
     out = np.zeros((len(idx), k))
     out[np.arange(len(idx)), idx] = 1.0
     return out
-
-
-def cross_entropy_from_logits(logits: np.ndarray, y_idx: np.ndarray) -> float:
-    lp = log_softmax(logits)
-    return float(-lp[np.arange(len(y_idx)), y_idx].mean())
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:

@@ -14,9 +14,12 @@ from .lstm import LstmParams, lstm_loss_grad
 from .mlp import MlpParams, mlp_loss_grad
 from .softmax_regression import SoftmaxRegressionParams, softmax_loss_grad
 
+EPS = 1e-5
 
-def grad_check(objective, theta: np.ndarray, eps: float = 1e-5) -> float:
-    """Max relative error between the analytic gradient and central differences.
+
+def grad_check(objective, theta: np.ndarray) -> float:
+    """Max relative error between the analytic gradient and central
+    differences of step ``EPS``.
 
     ``objective(theta) -> (value, grad)``.  Per-coordinate relative error is
     |g_a - g_n| / (|g_a| + |g_n| + 1e-12).
@@ -29,12 +32,12 @@ def grad_check(objective, theta: np.ndarray, eps: float = 1e-5) -> float:
     theta = theta.astype(np.float64).copy()
     for j in range(theta.size):
         orig = theta[j]
-        theta[j] = orig + eps
+        theta[j] = orig + EPS
         up, _ = objective(theta)
-        theta[j] = orig - eps
+        theta[j] = orig - EPS
         down, _ = objective(theta)
         theta[j] = orig
-        numeric[j] = (up - down) / (2.0 * eps)
+        numeric[j] = (up - down) / (2.0 * EPS)
     rel = np.abs(analytic - numeric) / (np.abs(analytic) + np.abs(numeric) + 1e-12)
     return float(rel.max())
 

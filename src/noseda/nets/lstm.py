@@ -27,7 +27,6 @@ from .common import (
     TrainConfig,
     adam_corrections,
     adam_update,
-    cross_entropy_from_logits,
     flat_views,
     flatten_arrays,
     labels_to_indices,
@@ -70,7 +69,7 @@ class LstmParams:
         return ((d, 4 * h), (h, 4 * h), (4 * h,), (h, c), (c,))
 
 
-def lstm_init(input_dim: int, n_classes: int = N_CLASSES, seed: int = 0) -> LstmParams:
+def lstm_init(input_dim: int, seed: int = 0) -> LstmParams:
     """Seeded uniform(-1/sqrt(fan_in), +) init for gates; zero head and biases.
 
     The zero head keeps untrained outputs uniform and makes training exactly
@@ -81,8 +80,8 @@ def lstm_init(input_dim: int, n_classes: int = N_CLASSES, seed: int = 0) -> Lstm
         wx=uniform_init(rng, (input_dim, 4 * HIDDEN_DIM), input_dim),
         wh=uniform_init(rng, (HIDDEN_DIM, 4 * HIDDEN_DIM), HIDDEN_DIM),
         b=np.zeros(4 * HIDDEN_DIM),
-        w_out=np.zeros((HIDDEN_DIM, n_classes)),
-        b_out=np.zeros(n_classes),
+        w_out=np.zeros((HIDDEN_DIM, N_CLASSES)),
+        b_out=np.zeros(N_CLASSES),
     )
 
 
@@ -144,7 +143,7 @@ def lstm_loss(params: LstmParams, X: np.ndarray, labels: np.ndarray) -> float:
     X = _check_windows(params, X)
     y = labels_to_indices(labels, params.n_classes)
     _, cache = _forward(params, X)
-    return cross_entropy_from_logits(cache["logits"], y)
+    return float(-cache["log_probs"][np.arange(len(y)), y].mean())
 
 
 def _gate_grad(dh: np.ndarray, dc_next, step: dict, c_prev, dz: np.ndarray) -> np.ndarray:

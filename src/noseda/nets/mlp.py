@@ -54,7 +54,7 @@ class MlpParams:
         return (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
 
 
-def mlp_init(input_dim: int, hidden=HIDDEN_SIZES, n_classes: int = N_CLASSES, seed: int = 0) -> MlpParams:
+def mlp_init(input_dim: int, hidden=HIDDEN_SIZES, seed: int = 0) -> MlpParams:
     rng = np.random.default_rng(seed)
     h1, h2 = hidden
     return MlpParams(
@@ -62,8 +62,8 @@ def mlp_init(input_dim: int, hidden=HIDDEN_SIZES, n_classes: int = N_CLASSES, se
         b1=np.zeros(h1),
         w2=uniform_init(rng, (h1, h2), h1),
         b2=np.zeros(h2),
-        w3=np.zeros((h2, n_classes)),
-        b3=np.zeros(n_classes),
+        w3=np.zeros((h2, N_CLASSES)),
+        b3=np.zeros(N_CLASSES),
     )
 
 

@@ -16,6 +16,7 @@ from .common import log_softmax, one_hot, softmax
 
 ARMIJO_C = 1e-4
 MIN_STEP = 1e-12
+TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -84,13 +85,12 @@ def softmax_train(
     n_classes: int,
     l2: float = 1e-4,
     max_iter: int = 500,
-    tol: float = 1e-6,
     return_trace: bool = False,
 ):
     """Minimize L2-regularized cross-entropy (weights only) from a zero init.
 
     Full-batch gradient descent with Armijo backtracking, so the loss trace
-    is nonincreasing.  Stops when the gradient norm drops below ``tol``, the
+    is nonincreasing.  Stops when the gradient norm drops below ``TOL``, the
     line search stalls, or after ``max_iter`` accepted steps.  ``labels`` are
     0-based indices into ``n_classes`` classes.
     """
@@ -111,7 +111,7 @@ def softmax_train(
     for _ in range(max_iter):
         gw, gb = _gradient_from_lp(lp, weights, X, y_hot, l2)
         gnorm2 = float((gw**2).sum() + (gb**2).sum())
-        if np.sqrt(gnorm2) < tol:
+        if np.sqrt(gnorm2) < TOL:
             break
         # shrink the step until the Armijo decrease condition holds; the
         # accepted candidate's log-probabilities feed the next gradient

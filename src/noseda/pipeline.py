@@ -196,15 +196,9 @@ def adapt_experts(
     return [replace(e, expert_after=net) for e, net in zip(experts, networks)]
 
 
-def fit_gate(
-    shots: Windows,
-    assignments: Sequence[int],
-    n_clusters: int,
-    l2: float = 1e-4,
-    max_iter: int = 500,
-    tol: float = 1e-6,
-) -> GateModel:
-    """Train the shot-features -> cluster-id router.
+def fit_gate(shots: Windows, assignments: Sequence[int], n_clusters: int, l2: float = 1e-4) -> GateModel:
+    """Train the shot-features -> cluster-id router: ``softmax_train`` with
+    its default iteration cap and its tolerance ``softmax_regression.TOL``.
 
     When every shot lands in one cluster the gate degenerates to a constant
     classifier for that cluster.
@@ -220,7 +214,7 @@ def fit_gate(
         bias[c] = 0.0
         params = SoftmaxRegressionParams(weights=np.zeros((n_clusters, flats.shape[1])), bias=bias)
         return GateModel(params=params, n_clusters=n_clusters)
-    return GateModel(params=softmax_train(flats, y, n_clusters, l2=l2, max_iter=max_iter, tol=tol), n_clusters=n_clusters)
+    return GateModel(params=softmax_train(flats, y, n_clusters, l2=l2), n_clusters=n_clusters)
 
 
 def _fit_staged(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noseda.baselines import (
     AdaBoostModel,
@@ -186,6 +188,14 @@ class TestAdaBoostPredict:
         X = rng.normal(size=(40, 2))
         assert np.array_equal(adaboost_predict_many(model, X), adaboost_predict_many(shuffled, X))
 
+    def test_one_vector_matches_many_row_by_row(self):
+        model = self.hand_model()
+        # every pair of coordinates drawn from the thresholds and around them
+        grid = [-1.5, -1.0, -0.5, 0.0, 0.2, 0.35, 0.5, 1.0]
+        X = np.array([[a, b] for a in grid for b in grid])
+        many = adaboost_predict_many(model, X)
+        assert [adaboost_predict(model, x) for x in X] == many.tolist()
+
     def test_json_round_trip(self, rng):
         X, y = skewed_checkerboard(rng, heavy=40, light=10)
         model = adaboost_train(X, y, n_estimators=10)
@@ -327,3 +337,65 @@ class TestSsStream:
         sizes = {c: len(state.pools[c]) for c in state.pools}
         ss_classify_stream(state, rng.normal(size=(30, 2)))
         assert all(len(state.pools[c]) >= sizes[c] for c in state.pools)
+
+
+def reference_ss_stream(state, X_test):
+    """The self-growing stream as first written: a join recomputes the distances
+    to the winning pool and shrinks delta by their minimum."""
+    preds = []
+    for x in np.asarray(X_test, dtype=np.float64):
+        best_c, best_d = None, None
+        for c in (1, 2, 3, 4):
+            _, d = nearest_neighbor(state.pools[c], x)
+            if best_d is None or d < best_d:
+                best_c, best_d = c, d
+        preds.append(best_c)
+        if best_d < state.deltas[best_c]:
+            pool = state.pools[best_c]
+            new_min = float(np.sqrt(((pool - x) ** 2).sum(axis=1).min()))
+            state.pools[best_c] = np.vstack([pool, x])
+            state.deltas[best_c] = min(state.deltas[best_c], new_min)
+            state.growth[best_c] = state.growth.get(best_c, 0) + 1
+    return preds
+
+
+class TestSsStreamProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_reference_and_docstring_invariants(self, data):
+        # coordinates on a 0.1 grid, so that distances tie and stream points join pools
+        p = data.draw(st.integers(1, 3), label="p")
+        vector = st.lists(st.integers(-10, 10).map(lambda i: i / 10), min_size=p, max_size=p)
+        pools = [data.draw(st.lists(vector, min_size=1, max_size=5), label=f"class {c}") for c in (1, 2, 3, 4)]
+        X = np.array([v for pool in pools for v in pool])
+        y = np.repeat([1, 2, 3, 4], [len(pool) for pool in pools])
+        stream = np.array(data.draw(st.lists(vector, min_size=1, max_size=25), label="stream"))
+
+        ref = ss_init(X, y)
+        ref_preds = reference_ss_stream(ref, stream)
+        state = ss_init(X, y)
+        initial = {c: len(state.pools[c]) for c in (1, 2, 3, 4)}
+        preds = []
+        for x in stream:
+            pools, deltas, growth = dict(state.pools), dict(state.deltas), dict(state.growth)
+            (c,) = ss_classify_stream(state, x[None])
+            preds.append(c)
+            _, d = nearest_neighbor(pools[c], x)
+            joined = d < deltas[c]
+            # pools only grow, and only the winning class's, by this vector on a join
+            for other in (1, 2, 3, 4):
+                grew = other == c and joined
+                assert len(state.pools[other]) == len(pools[other]) + grew
+                assert np.array_equal(state.pools[other][: len(pools[other])], pools[other])
+                assert state.growth[other] == growth[other] + grew
+                assert state.deltas[other] == (d if grew else deltas[other])
+            if joined:
+                assert np.array_equal(state.pools[c][-1], x)
+        # growth counts joins
+        assert all(state.growth[c] == len(state.pools[c]) - initial[c] for c in (1, 2, 3, 4))
+
+        assert preds == ref_preds
+        for c in (1, 2, 3, 4):
+            assert np.array_equal(state.pools[c], ref.pools[c])
+            assert state.deltas[c] == ref.deltas[c]
+            assert state.growth[c] == ref.growth[c]

@@ -293,6 +293,39 @@ class TestRunExperiment:
             ExperimentConfig(source=("a",), target=("b",), method="svm")
 
 
+class TestFeatureColumnsAgree:
+    """Every source and target file must name the same feature columns in
+    the same order, checked before any standardizing or training."""
+
+    def run_with(self, tmp_path, monkeypatch, source_files, target_names):
+        source, target = synthesize_domains(simple_spec(d=3, seed=2))
+        sdir = tmp_path / "sources"
+        sdir.mkdir()
+        for name, columns in source_files:
+            write_dataset_csv(dataclasses.replace(source, feature_names=columns), sdir / name)
+        write_dataset_csv(dataclasses.replace(target, feature_names=target_names), tmp_path / "target.csv")
+
+        def not_reached(*args):
+            raise AssertionError("standardized mismatched files")
+
+        monkeypatch.setattr(bench, "fit_standardizer", not_reached)
+        run_experiment(quick_config(str(sdir), str(tmp_path / "target.csv"), "lr"))
+
+    def test_permuted_source_file_rejected(self, tmp_path, monkeypatch):
+        with pytest.raises(
+            ValueError, match=r"file 'b' has feature columns \['s3', 's1', 's2'\], but file 'a' has \['s1', 's2', 's3'\]"
+        ):
+            self.run_with(
+                tmp_path, monkeypatch, [("a.csv", ("s1", "s2", "s3")), ("b.csv", ("s3", "s1", "s2"))], ("s1", "s2", "s3")
+            )
+
+    def test_target_with_other_names_rejected(self, tmp_path, monkeypatch):
+        with pytest.raises(
+            ValueError, match=r"file 'target' has feature columns \['s1', 's2', 'x'\], but file 'a' has \['s1', 's2', 's3'\]"
+        ):
+            self.run_with(tmp_path, monkeypatch, [("a.csv", ("s1", "s2", "s3"))], ("s1", "s2", "x"))
+
+
 class TestNoLeak:
     """Test-pool labels must never reach any fit stage."""
 
@@ -384,6 +417,27 @@ class TestEmitReport:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report([], tmp_path / "report")
+
+    def test_files_match_committed_report(self, tmp_path):
+        # pair p2 has no ss cell; methods come in report order, pairs in first-seen order
+        cells = [("p1", "ours", 0.75), ("p2", "lr", 0.25), ("p1", "ss", 0.625), ("p1", "lr", 0.5), ("p2", "ours", 1.0)]
+        json_path, table = emit_report([self.make_result(*c) for c in cells], tmp_path / "report")
+        assert table.read_text() == (
+            "| Source-Target | LR | SS | Ours |\n"
+            "|---|---|---|---|\n"
+            "| p1 | 50.00 | 62.50 | 75.00 |\n"
+            "| p2 | 25.00 |  | 100.00 |\n"
+            "| Avg | 37.50 | 62.50 | 87.50 |\n"
+        )
+        records = [
+            {
+                "pair": pair, "method": method, "file_names": ["t"], "file_accuracies": [acc], "pair_accuracy": acc,
+                "file_macro_accuracies": [acc], "pair_macro_accuracy": acc, "elapsed_seconds": 0.1,
+                "model_digest": "d", "config": {}, "selection": None,
+            }
+            for pair, method, acc in cells
+        ]
+        assert json_path.read_text() == json.dumps({"results": records}, indent=2)
 
 
 class TestBeefPairs:

@@ -51,6 +51,12 @@ class TestLoadCsv:
         write_csv(p, ["MQ2", "label"], rows)
         assert len(load_csv(p)) == 4453
 
+    def test_label_only_file_rejected(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        write_csv(p, ["label"], [[1], [2], [3], [4], [1], [2]])
+        with pytest.raises(ValueError, match=r"labels\.csv: no feature column besides 'label'"):
+            load_csv(p)
+
     def test_bad_label_cites_row(self, tmp_path):
         p = tmp_path / "bad.csv"
         rows = [[float(i), 1] for i in range(10)]
@@ -143,6 +149,12 @@ class TestHarmonize:
         ds = dataset_from_arrays([[1.0, 2.0]], [1], feature_names=["Humidity", "MQ2"])
         out = harmonize(ds, drop=("humidity", "MQ999"))
         assert out.feature_names == ("MQ2",)
+
+    def test_dropping_every_column_rejected(self, tmp_path):
+        p = tmp_path / "climate.csv"
+        write_csv(p, ["humidity", "temperature", "label"], [[40.0, 20.0, 1], [41.0, 21.0, 2]])
+        with pytest.raises(ValueError, match=r"climate: dropping columns \['humidity', 'temperature'\] leaves no"):
+            harmonize(load_csv(p))
 
     def test_values_follow_columns(self):
         ds = dataset_from_arrays([[1.0, 2.0, 3.0]], [1], feature_names=["a", "MQ7", "b"])

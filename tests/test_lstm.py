@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from noseda.nets import Adam, TrainConfig, lstm_predict, lstm_predict_proba, lstm_train
-from noseda.nets.common import dropout_mask, minibatch_indices
+from noseda.nets.common import dropout_mask, log_softmax, minibatch_indices
 from noseda.nets.lstm import LstmParams, lstm_init, lstm_loss, lstm_loss_grad, lstm_train_many, _forward
 from noseda.serialize import from_json, to_json
 
@@ -244,6 +244,18 @@ class TestLossGrad:
             assert loss == ref_loss
             for g, r in zip(grads, ref_grads):
                 assert g.shape == r.shape and same_bits(g, r)
+
+
+class TestLoss:
+    def test_equals_mean_log_probability_of_logits_bits(self, rng):
+        # the loss reads the forward pass's log-probabilities; the reference
+        # takes them afresh from its logits
+        for seed in range(5):
+            params = replace(lstm_init(3, seed=seed), b=0.3 * rng.normal(size=16), w_out=rng.normal(size=(4, 4)))
+            X, y = separable_windows(rng, n=int(rng.integers(1, 40)))
+            _, cache = _forward(params, X)
+            log_probs = log_softmax(cache["logits"])
+            assert lstm_loss(params, X, y) == float(-log_probs[np.arange(len(y)), y - 1].mean())
 
 
 class TestTrainMany:
