@@ -114,15 +114,26 @@ class SyntheticDomainSpec:
             raise ValueError("domain lengths must be >= 2")
         if self.block_length < 1:
             raise ValueError("block_length must be >= 1")
+        for name in ("source_subgroups", "target_subgroups"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.shift.shape != (self.class_means.shape[1],):
             raise ValueError("shift must match the feature dimension")
         if self.subgroup_direction is not None:
             if self.subgroup_direction.shape != (self.class_means.shape[1],):
                 raise ValueError("subgroup_direction must match the feature dimension")
             norm = float(np.linalg.norm(self.subgroup_direction))
-            if abs(norm - 1.0) > 1e-9:
-                raise ValueError("subgroup_direction must be a unit vector")
+            if not abs(norm - 1.0) <= 1e-9:  # a NaN norm fails too
+                raise ValueError(
+                    f"subgroup_direction must be a unit vector, got {self.subgroup_direction} (norm {norm})"
+                )
         if self.subgroup_label_permutations is not None:
+            n_groups = max(self.source_subgroups, self.target_subgroups)
+            if len(self.subgroup_label_permutations) < n_groups:
+                raise ValueError(
+                    f"subgroup_label_permutations has {len(self.subgroup_label_permutations)} permutation(s)"
+                    f" for {n_groups} subgroups"
+                )
             for perm in self.subgroup_label_permutations:
                 if sorted(perm) != [0, 1, 2, 3]:
                     raise ValueError(f"{perm} is not a permutation of 0..3")
@@ -152,7 +163,9 @@ class SyntheticDomainSpec:
         direction = kwargs.pop("subgroup_direction", None)
         if direction is not None:
             direction = np.asarray(direction, dtype=np.float64)
-            direction = direction / np.linalg.norm(direction)
+            norm = np.linalg.norm(direction)
+            if 0 < norm < np.inf:  # anything else fails the unit-norm check
+                direction = direction / norm
         return cls(
             subgroup_direction=direction,
             class_means=class_means,

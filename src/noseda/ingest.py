@@ -202,6 +202,9 @@ def load_csv(path, label_column: str = "label") -> SequenceDataset:
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise ValueError(f"{path}: repeated column name(s) {repeated} in header")
         if label_column not in header:
             raise ValueError(f"{path}: no column named {label_column!r} in header {header}")
         if len(header) == 1:

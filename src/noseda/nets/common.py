@@ -119,10 +119,10 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(z))
 
 
-def one_hot(idx: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros((len(idx), k))
-    out[np.arange(len(idx)), idx] = 1.0
-    return out
+def class_positions(y: np.ndarray, n_classes: int) -> np.ndarray:
+    """The flat position of each row's class ``y`` in a C-ordered
+    (..., n_classes) array whose leading axes are ``y``'s."""
+    return np.arange(0, y.size * n_classes, n_classes) + y.reshape(-1)
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -130,14 +130,31 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-s, s, size=shape)
 
 
-def labels_to_indices(labels: np.ndarray, n_classes: int = N_CLASSES) -> np.ndarray:
-    """Map class labels 1..n to 0-based indices, validating the range."""
+def check_inputs(X, shape) -> np.ndarray:
+    """``X`` as float64, checked to be (n, *shape) and finite.  A ``None`` in
+    ``shape`` takes any size on that axis."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != len(shape) + 1 or any(s not in (None, x) for s, x in zip(shape, X.shape[1:])):
+        dims = ", ".join("d" if s is None else str(s) for s in shape)
+        raise ValueError(f"expected windows of shape (n, {dims}), got {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite values in input windows")
+    return X
+
+
+def check_labeled(X, labels, shape, n_classes: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """``check_inputs`` on ``X``, then a nonempty set with one label per input,
+    each in ``first..first + n_classes - 1``.  Returns X and the labels as
+    0-based class indices."""
+    X = check_inputs(X, shape)
     y = np.asarray(labels, dtype=np.int64)
-    if y.size == 0:
-        raise ValueError("empty training set")
-    if y.min() < 1 or y.max() > n_classes:
-        raise ValueError(f"labels must lie in 1..{n_classes}, got range [{y.min()}, {y.max()}]")
-    return y - 1
+    if y.shape != (len(X),):
+        raise ValueError(f"{len(X)} inputs but {y.size} labels of shape {y.shape}")
+    if len(X) == 0:
+        raise ValueError("empty input set")
+    if y.min() < first or y.max() >= first + n_classes:
+        raise ValueError(f"labels must lie in {first}..{first + n_classes - 1}, got range [{y.min()}, {y.max()}]")
+    return X, y - first
 
 
 def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator):

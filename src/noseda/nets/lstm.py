@@ -27,11 +27,12 @@ from .common import (
     TrainConfig,
     adam_corrections,
     adam_update,
+    check_inputs,
+    check_labeled,
+    class_positions,
     flat_views,
     flatten_arrays,
-    labels_to_indices,
     log_softmax,
-    one_hot,
     sigmoid,
     uniform_init,
 )
@@ -85,15 +86,6 @@ def lstm_init(input_dim: int, seed: int = 0) -> LstmParams:
     )
 
 
-def _check_windows(params: LstmParams, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 3 or X.shape[1] != 2 or X.shape[2] != params.input_dim:
-        raise ValueError(f"expected windows of shape (n, 2, {params.input_dim}), got {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite values in input windows")
-    return X
-
-
 def _forward(params: LstmParams, X: np.ndarray, drop: np.ndarray | None = None):
     """Batched forward pass over (..., B, 2, d) windows.
 
@@ -128,8 +120,7 @@ def _forward(params: LstmParams, X: np.ndarray, drop: np.ndarray | None = None):
 
 
 def lstm_predict_proba(params: LstmParams, X: np.ndarray) -> np.ndarray:
-    X = _check_windows(params, X)
-    probs, _ = _forward(params, X)
+    probs, _ = _forward(params, check_inputs(X, (2, params.input_dim)))
     return probs
 
 
@@ -140,8 +131,7 @@ def lstm_predict(params: LstmParams, X: np.ndarray) -> np.ndarray:
 
 def lstm_loss(params: LstmParams, X: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy of the model on (X, labels), dropout off."""
-    X = _check_windows(params, X)
-    y = labels_to_indices(labels, params.n_classes)
+    X, y = check_labeled(X, labels, (2, params.input_dim), params.n_classes, 1)
     _, cache = _forward(params, X)
     return float(-cache["log_probs"][np.arange(len(y)), y].mean())
 
@@ -174,24 +164,27 @@ def _gate_grad(dh: np.ndarray, dc_next, step: dict, c_prev, dz: np.ndarray) -> n
     return dc
 
 
-def _loss_grad(params: LstmParams, X: np.ndarray, y: np.ndarray, y_hot: np.ndarray, drop: np.ndarray | None, grad):
+def _loss_grad(params: LstmParams, X: np.ndarray, y: np.ndarray, drop: np.ndarray | None, grad):
     """Mean cross-entropy on checked inputs, with its BPTT gradient written
     into ``grad``, a (..., P) buffer laid out like the flattened
     ``params.arrays()``.
 
-    ``y`` holds 0-based class indices (..., B) and ``y_hot`` their one-hot
-    rows (..., B, C); with a leading model axis the loss is one per model.
+    ``y`` holds 0-based class indices (..., B); with a leading model axis the
+    loss is one per model.
     """
     B = X.shape[-3]
     h = params.hidden_dim
     probs, cache = _forward(params, X, drop)
     log_probs = cache["log_probs"]
-    # the log-probability of each window's true class, gathered flat
-    picked = log_probs.reshape(-1)[np.arange(0, log_probs.size, log_probs.shape[-1]) + y.reshape(-1)]
+    # the flat position of each window's true class: its log-probability is
+    # the loss term, and its probability less one the logit gradient
+    true = class_positions(y, params.n_classes)
+    picked = log_probs.reshape(-1)[true]
     loss = -np.add.reduce(picked.reshape(y.shape), axis=-1) / B  # ndarray.mean's arithmetic, less overhead
 
     d_wx, d_wh, d_b, d_w_out, d_b_out = flat_views(grad, params.shapes())
-    dlogits = np.subtract(probs, y_hot, out=probs)
+    dlogits = probs
+    dlogits.reshape(-1)[true] -= 1.0
     dlogits /= B
     np.matmul(cache["h_final"].swapaxes(-1, -2), dlogits, out=d_w_out)
     np.add.reduce(dlogits, axis=-2, out=d_b_out)
@@ -219,11 +212,10 @@ def lstm_loss_grad(params: LstmParams, X: np.ndarray, labels: np.ndarray, drop: 
     Full backprop through time over the two steps; gradients are returned in
     the order of ``LstmParams.arrays()``.
     """
-    X = _check_windows(params, X)
-    y = labels_to_indices(labels, params.n_classes)
+    X, y = check_labeled(X, labels, (2, params.input_dim), params.n_classes, 1)
     shapes = params.shapes()
     grad = np.empty(sum(math.prod(shape) for shape in shapes))
-    loss = _loss_grad(params, X, y, one_hot(y, params.n_classes), drop, grad)
+    loss = _loss_grad(params, X, y, drop, grad)
     return float(loss), tuple(flat_views(grad, shapes))
 
 
@@ -273,22 +265,11 @@ def lstm_train_many(
             raise ValueError(f"lockstep training needs one {name}, got {sorted(values)}")
     epochs, bs, p = configs[0].epochs, configs[0].batch_size, configs[0].dropout
 
-    data = []
-    for X, y in zip(Xs, labels):
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 3 or X.shape[1] != 2:
-            raise ValueError(f"expected (n, 2, d) windows, got {X.shape}")
-        if X.shape[0] == 0:
-            raise ValueError("empty training set")
-        y = labels_to_indices(np.asarray(y, dtype=np.int64))
-        if y.shape != (X.shape[0],):
-            raise ValueError(f"{X.shape[0]} windows but {y.size} labels")
-        data.append((X, y))
-    d = data[0][0].shape[2]
-    if any(X.shape[2] != d for X, _ in data):
-        raise ValueError(f"lockstep training needs one window width, got {sorted({X.shape[2] for X, _ in data})}")
-    if not all(np.all(np.isfinite(X)) for X, _ in data):
-        raise ValueError("non-finite values in input windows")
+    data = [check_labeled(X, y, (2, None), N_CLASSES, 1) for X, y in zip(Xs, labels)]
+    widths = sorted({X.shape[2] for X, _ in data})
+    if len(widths) > 1:
+        raise ValueError(f"lockstep training needs one window width, got {widths}")
+    d = widths[0]
 
     # Stack the models by decreasing dataset size: at every step the models
     # that still have a batch, and among them those with a full one, are then
@@ -313,10 +294,8 @@ def lstm_train_many(
     lr = configs[0].learning_rate
     # each epoch's shuffled copy of every dataset, so that a step's batches
     # are slices rather than gathers
-    hots = [one_hot(y, N_CLASSES) for _, y in data]
     X_ep = np.zeros((M, n[0], 2, d))
     y_ep = np.zeros((M, n[0]), dtype=np.int64)
-    y_hot_ep = np.zeros((M, n[0], N_CLASSES))
     # each epoch's dropout draws, turned into its masks in place: one call per
     # network right after its permutation is the same stream as one per batch
     drop_ep = np.zeros((M, n[0], HIDDEN_DIM)) if p > 0.0 else None
@@ -331,7 +310,6 @@ def lstm_train_many(
                 rng.random((n[j], HIDDEN_DIM), out=drop_ep[j, : n[j]])
             np.take(X, perm, axis=0, out=X_ep[j, : n[j]])
             np.take(y, perm, out=y_ep[j, : n[j]])
-            np.take(hots[j], perm, axis=0, out=y_hot_ep[j, : n[j]])
         if drop_ep is not None:
             np.greater_equal(drop_ep, p, out=drop_ep)  # 1.0 where kept, else 0.0
             drop_ep /= 1.0 - p
@@ -339,7 +317,7 @@ def lstm_train_many(
         for lo, a, b, length in schedule:
             batch = slice(lo, lo + length)
             drop = None if drop_ep is None else drop_ep[a:b, batch]
-            loss = _loss_grad(subs[a, b], X_ep[a:b, batch], y_ep[a:b, batch], y_hot_ep[a:b, batch], drop, grad[a:b])
+            loss = _loss_grad(subs[a, b], X_ep[a:b, batch], y_ep[a:b, batch], drop, grad[a:b])
             t[a:b] += 1
             adam_update(
                 flat[a:b], grad[a:b], adam_m[a:b], adam_v[a:b], t[a:b], lr, (adam_s1[a:b], adam_s2[a:b]),

@@ -13,15 +13,16 @@ import numpy as np
 
 from .common import (
     N_CLASSES,
+    Adam,
     TrainConfig,
-    adam_update,
+    check_inputs,
+    check_labeled,
+    class_positions,
     dropout_mask,
     flat_views,
     flatten_arrays,
-    labels_to_indices,
     log_softmax,
     minibatch_indices,
-    one_hot,
     softmax,
     uniform_init,
 )
@@ -67,15 +68,6 @@ def mlp_init(input_dim: int, hidden=HIDDEN_SIZES, seed: int = 0) -> MlpParams:
     )
 
 
-def _check_input(params: MlpParams, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.input_dim:
-        raise ValueError(f"expected (n, {params.input_dim}) inputs, got {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite values in input")
-    return X
-
-
 def _forward(params: MlpParams, X: np.ndarray, drop1=None, drop2=None):
     a1 = X @ params.w1
     a1 += params.b1
@@ -92,7 +84,7 @@ def _forward(params: MlpParams, X: np.ndarray, drop1=None, drop2=None):
 
 
 def mlp_predict_proba(params: MlpParams, X: np.ndarray) -> np.ndarray:
-    logits, _ = _forward(params, _check_input(params, X))
+    logits, _ = _forward(params, check_inputs(X, (params.input_dim,)))
     return softmax(logits)
 
 
@@ -100,19 +92,22 @@ def mlp_predict_labels(params: MlpParams, X: np.ndarray) -> np.ndarray:
     return np.argmax(mlp_predict_proba(params, X), axis=1) + 1
 
 
-def _loss_grad(params: MlpParams, X: np.ndarray, y: np.ndarray, y_hot: np.ndarray, drop1, drop2, grads):
+def _loss_grad(params: MlpParams, X: np.ndarray, y: np.ndarray, drop1, drop2, grads):
     """Mean cross-entropy and gradients on checked inputs, written into
     ``grads``: six arrays shaped like ``params.arrays()``.
 
-    ``y`` holds 0-based class indices and ``y_hot`` their one-hot rows.
+    ``y`` holds 0-based class indices.
     """
     B = X.shape[0]
     d_w1, d_b1, d_w2, d_b2, d_w3, d_b3 = grads
     logits, cache = _forward(params, X, drop1, drop2)
     lp = log_softmax(logits)
-    loss = float(-lp[np.arange(B), y].mean())
+    true = class_positions(y, params.n_classes)
+    loss = float(-lp.reshape(-1)[true].mean())
 
-    dlogits = (np.exp(lp) - y_hot) / B
+    dlogits = np.exp(lp)
+    dlogits.reshape(-1)[true] -= 1.0
+    dlogits /= B
     np.matmul(cache["a2"].T, dlogits, out=d_w3)
     dlogits.sum(axis=0, out=d_b3)
     da2 = dlogits @ params.w3.T
@@ -131,10 +126,9 @@ def _loss_grad(params: MlpParams, X: np.ndarray, y: np.ndarray, y_hot: np.ndarra
 
 
 def mlp_loss_grad(params: MlpParams, X: np.ndarray, labels: np.ndarray, drop1=None, drop2=None):
-    X = _check_input(params, X)
-    y = labels_to_indices(labels, params.n_classes)
+    X, y = check_labeled(X, labels, (params.input_dim,), params.n_classes, 1)
     grads = tuple(np.empty_like(a) for a in params.arrays())
-    loss = _loss_grad(params, X, y, one_hot(y, params.n_classes), drop1, drop2, grads)
+    loss = _loss_grad(params, X, y, drop1, drop2, grads)
     return loss, grads
 
 
@@ -150,38 +144,24 @@ def mlp_train(
     The six parameter arrays are views of one flat buffer, as are their
     gradients, so each step is one Adam update over all of them.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"expected (n, d) inputs, got {X.shape}")
-    if X.shape[0] == 0:
-        raise ValueError("empty training set")
+    X, y = check_labeled(X, labels, (None,), N_CLASSES, 1)
     n, d = X.shape
-    y = labels_to_indices(labels)
-    if y.shape != (n,):
-        raise ValueError(f"{n} inputs but {y.size} labels")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite values in input")
-    y_hot = one_hot(y, N_CLASSES)
-
     rng = np.random.default_rng(config.seed)
     init = mlp_init(d, hidden=hidden, seed=int(rng.integers(2**63)))
     shapes = [a.shape for a in init.arrays()]
     flat = flatten_arrays(init.arrays())
     grad = np.empty_like(flat)
     params, grads = MlpParams(*flat_views(flat, shapes)), flat_views(grad, shapes)
-    adam_m, adam_v = np.zeros_like(flat), np.zeros_like(flat)
-    scratch = (np.empty_like(flat), np.empty_like(flat))
+    adam = Adam([flat], lr=config.learning_rate)
     h1, h2 = hidden
-    t = 0
     trace = []
     for _ in range(config.epochs):
         total = 0.0
         for idx in minibatch_indices(n, config.batch_size, rng):
             drop1 = dropout_mask(rng, (len(idx), h1), config.dropout)
             drop2 = dropout_mask(rng, (len(idx), h2), config.dropout)
-            loss = _loss_grad(params, X[idx], y[idx], y_hot[idx], drop1, drop2, grads)
-            t += 1
-            adam_update(flat, grad, adam_m, adam_v, t, config.learning_rate, scratch)
+            loss = _loss_grad(params, X[idx], y[idx], drop1, drop2, grads)
+            adam.step([flat], [grad])
             total += loss * len(idx)
         trace.append(total / n)
     params = MlpParams(*(v.copy() for v in params.arrays()))

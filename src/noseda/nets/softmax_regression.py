@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import log_softmax, one_hot, softmax
+from .common import check_inputs, check_labeled, class_positions, log_softmax, softmax
 
 ARMIJO_C = 1e-4
 MIN_STEP = 1e-12
@@ -47,36 +47,36 @@ def _logits(weights: np.ndarray, bias: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def softmax_predict_proba(params: SoftmaxRegressionParams, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.input_dim:
-        raise ValueError(f"expected (n, {params.input_dim}) inputs, got {X.shape}")
+    X = check_inputs(X, (params.input_dim,))
     return softmax(_logits(params.weights, params.bias, X))
 
 
 def softmax_loss(params: SoftmaxRegressionParams, X: np.ndarray, y_idx: np.ndarray, l2: float = 0.0) -> float:
-    return _objective_lp(params.weights, params.bias, np.asarray(X, dtype=np.float64), np.asarray(y_idx), l2)[0]
+    X, y = check_labeled(X, y_idx, (params.input_dim,), params.n_classes, 0)
+    return _objective_lp(params.weights, params.bias, X, class_positions(y, params.n_classes), l2)[0]
 
 
-def _objective_lp(weights, bias, X, y_idx, l2) -> tuple[float, np.ndarray]:
-    """The objective and the (n, C) log-probabilities it was computed from."""
+def _objective_lp(weights, bias, X, true, l2) -> tuple[float, np.ndarray]:
+    """The objective and the (n, C) log-probabilities it was computed from;
+    ``true`` holds the flat position of each input's true class in them."""
     lp = log_softmax(_logits(weights, bias, X))
-    nll = -lp[np.arange(len(y_idx)), y_idx].mean()
+    nll = -lp.reshape(-1)[true].mean()
     return float(nll + 0.5 * l2 * (weights**2).sum()), lp
 
 
-def _gradient_from_lp(lp, weights, X, y_hot, l2):
-    """The gradient given the log-probabilities at ``weights``; ``y_hot``
-    holds the one-hot label rows."""
-    R = (np.exp(lp) - y_hot) / X.shape[0]
+def _gradient_from_lp(lp, weights, X, true, l2):
+    """The gradient given the log-probabilities at ``weights``."""
+    R = np.exp(lp)
+    R.reshape(-1)[true] -= 1.0
+    R /= X.shape[0]
     return R.T @ X + l2 * weights, R.sum(axis=0)
 
 
 def softmax_loss_grad(params: SoftmaxRegressionParams, X: np.ndarray, y_idx: np.ndarray, l2: float = 0.0):
-    X = np.asarray(X, dtype=np.float64)
-    y_idx = np.asarray(y_idx)
-    loss, lp = _objective_lp(params.weights, params.bias, X, y_idx, l2)
-    gw, gb = _gradient_from_lp(lp, params.weights, X, one_hot(y_idx, params.n_classes), l2)
-    return loss, (gw, gb)
+    X, y = check_labeled(X, y_idx, (params.input_dim,), params.n_classes, 0)
+    true = class_positions(y, params.n_classes)
+    loss, lp = _objective_lp(params.weights, params.bias, X, true, l2)
+    return loss, _gradient_from_lp(lp, params.weights, X, true, l2)
 
 
 def softmax_train(
@@ -94,22 +94,14 @@ def softmax_train(
     line search stalls, or after ``max_iter`` accepted steps.  ``labels`` are
     0-based indices into ``n_classes`` classes.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError(f"expected a nonempty (n, d) matrix, got shape {X.shape}")
-    if y.shape[0] != X.shape[0]:
-        raise ValueError("labels do not match inputs")
-    if y.min() < 0 or y.max() >= n_classes:
-        raise ValueError(f"labels must lie in 0..{n_classes - 1}")
-
+    X, y = check_labeled(X, labels, (None,), n_classes, 0)
+    true = class_positions(y, n_classes)
     weights = np.zeros((n_classes, X.shape[1]))
     bias = np.zeros(n_classes)
-    y_hot = one_hot(y, n_classes)
-    loss, lp = _objective_lp(weights, bias, X, y, l2)
+    loss, lp = _objective_lp(weights, bias, X, true, l2)
     trace = [loss]
     for _ in range(max_iter):
-        gw, gb = _gradient_from_lp(lp, weights, X, y_hot, l2)
+        gw, gb = _gradient_from_lp(lp, weights, X, true, l2)
         gnorm2 = float((gw**2).sum() + (gb**2).sum())
         if np.sqrt(gnorm2) < TOL:
             break
@@ -118,7 +110,7 @@ def softmax_train(
         step = 1.0
         while step >= MIN_STEP:
             cand_w, cand_b = weights - step * gw, bias - step * gb
-            cand, cand_lp = _objective_lp(cand_w, cand_b, X, y, l2)
+            cand, cand_lp = _objective_lp(cand_w, cand_b, X, true, l2)
             if cand <= loss - ARMIJO_C * step * gnorm2:
                 break
             step *= 0.5

@@ -469,7 +469,7 @@ def fit_selected(
         shot_accuracies=tuple(shot_accs),
         selected_run=int(np.argmax(shot_accs)),
         eval_accuracies=tuple(eval_accs),
-        mean_test_accuracy=float(np.mean(eval_accs)) if eval_accs else float("nan"),
+        mean_test_accuracy=float(np.mean(eval_accs)),
         eval_file_accuracies=tuple(eval_file_accs),
     )
     return best_model, report

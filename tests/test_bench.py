@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -179,6 +180,22 @@ class TestSynthesizeDomains:
     def test_permutation_validation(self):
         with pytest.raises(ValueError):
             simple_spec(source_subgroups=2, subgroup_label_permutations=[(0, 1, 2, 3), (0, 0, 1, 2)])
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"source_subgroups": 2, "subgroup_direction": [0.0, 0.0]}, "subgroup_direction must be a unit vector"),
+            (
+                {"target_subgroups": 3, "subgroup_label_permutations": [(0, 1, 2, 3), (3, 2, 1, 0)]},
+                "subgroup_label_permutations has 2 permutation(s) for 3 subgroups",
+            ),
+            ({"source_subgroups": 0}, "source_subgroups must be >= 1, got 0"),
+            ({"target_subgroups": -1}, "target_subgroups must be >= 1, got -1"),
+        ],
+    )
+    def test_bad_subgroup_settings_name_the_field(self, overrides, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simple_spec(**overrides)
 
     def test_csv_round_trip(self, tmp_path):
         spec = simple_spec(source_length=50, target_length=50)

@@ -181,3 +181,11 @@ def test_valid_config_with_missing_data_fails_at_ingest(tmp_path, capsys):
 def test_out_of_range_config_fails_before_ingest(tmp_path, capsys, field, value, message):
     assert run_config_with_missing_data(tmp_path, **{field: value}) == 1
     assert f"noseda: error: ExperimentConfig.{message}\n" in capsys.readouterr().err
+
+
+def test_synth_rejects_zero_subgroup_direction(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**spec_dict(), "source_subgroups": 2, "subgroup_direction": [0, 0]}))
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "data")]) == 1
+    assert "noseda: error: subgroup_direction must be a unit vector" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()

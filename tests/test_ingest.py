@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -103,6 +104,18 @@ class TestLoadCsv:
         p = tmp_path / "nolabel.csv"
         write_csv(p, ["MQ2", "MQ3"], [[1.0, 2.0]])
         with pytest.raises(ValueError, match="label"):
+            load_csv(p)
+
+    def test_repeated_label_column_rejected(self, tmp_path):
+        p = tmp_path / "twolabels.csv"
+        write_csv(p, ["s1", "label", "label"], [[0.5, 1, 2], [1.5, 2, 3]])
+        with pytest.raises(ValueError, match=re.escape("twolabels.csv: repeated column name(s) ['label']")):
+            load_csv(p)
+
+    def test_repeated_feature_column_rejected(self, tmp_path):
+        p = tmp_path / "twofeatures.csv"
+        write_csv(p, ["s1", "s1", "label"], [[0.5, 0.7, 1], [1.5, 1.7, 2]])
+        with pytest.raises(ValueError, match=re.escape("twofeatures.csv: repeated column name(s) ['s1']")):
             load_csv(p)
 
     def test_directory_loads_lexicographically(self, tmp_path):

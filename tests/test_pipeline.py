@@ -295,6 +295,15 @@ class TestGate:
         with pytest.raises(ValueError):
             fit_gate([], [], n_clusters=2)
 
+    @pytest.mark.parametrize("cell", [np.nan, np.inf])
+    def test_non_finite_shot_rejected(self, rng, cell):
+        # it used to give the all-zero gate: the line search never accepted a step
+        X = rng.normal(size=(8, 2, 2))
+        X[5, 1, 0] = cell
+        shots = windows_from_arrays(X, 1 + np.arange(8) % 4)
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_gate(shots, [0, 1] * 4, n_clusters=2)
+
 
 class TestPredict:
     def constant_gate_model(self, experts, to_cluster, d=2):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from noseda.nets import softmax_train
-from noseda.nets.common import log_softmax, one_hot, softmax
+from noseda.nets.common import log_softmax, softmax
 from noseda.nets.softmax_regression import ARMIJO_C, MIN_STEP, softmax_predict_proba
 
 
@@ -67,7 +67,7 @@ def two_evaluation_train(X, y, n_classes, l2, max_iter, tol=1e-6):
     loss = objective(w, b)
     trace = [loss]
     for _ in range(max_iter):
-        R = (softmax(X @ w.T + b) - one_hot(y, n_classes)) / X.shape[0]
+        R = (softmax(X @ w.T + b) - np.eye(n_classes)[y]) / X.shape[0]
         gw, gb = R.T @ X + l2 * w, R.sum(axis=0)
         gnorm2 = float((gw**2).sum() + (gb**2).sum())
         if np.sqrt(gnorm2) < tol:
