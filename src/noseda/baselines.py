@@ -2,7 +2,9 @@
 self-growing 1-nearest-neighbour classifier.
 
 Both operate on flattened window vectors; callers flatten 2 x d windows
-before training (see ``ingest.flatten_windows``).
+before training (see ``ingest.flatten_windows``).  Every public entry checks
+its vectors, and its labels (integers in 1..4), with the two helpers of
+``nets.common``, as the networks do.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+
+from .ingest import CLASS_LABELS
+from .nets.common import N_CLASSES, check_inputs, check_labeled
 
 log = logging.getLogger(__name__)
 
@@ -106,10 +111,8 @@ def adaboost_train(X: np.ndarray, labels: np.ndarray, n_estimators: int = 100) -
     chance margin 1 - 1/K (weak-learner failure) or hits zero (the sample
     weights would collapse).
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ValueError(f"inconsistent training data shapes {X.shape} vs {y.shape}")
+    X, y = check_labeled(X, labels, (None,), N_CLASSES, CLASS_LABELS[0])
+    y += CLASS_LABELS[0]  # the class indices back to labels
     classes = tuple(sorted(set(y.tolist())))
     k = len(classes)
     if k < 2:
@@ -140,32 +143,35 @@ def adaboost_train(X: np.ndarray, labels: np.ndarray, n_estimators: int = 100) -
     return AdaBoostModel(stumps=tuple(stumps), alphas=tuple(alphas), classes=classes, stump_errors=tuple(errors))
 
 
-def adaboost_votes(model: AdaBoostModel, X: np.ndarray) -> np.ndarray:
-    """(n, K) matrix of alpha-weighted class votes."""
-    X = np.asarray(X, dtype=np.float64)
+def adaboost_predict(model: AdaBoostModel, x: np.ndarray) -> int:
+    """Predicted class for one vector; vote ties go to the lower class id."""
+    return int(adaboost_predict_many(model, [x])[0])
+
+
+def adaboost_predict_many(model: AdaBoostModel, X: np.ndarray) -> np.ndarray:
+    """The class with the most alpha-weighted stump votes for each row of X."""
+    X = check_inputs(X, (None,))
+    width = max((stump.feature for stump in model.stumps), default=-1) + 1
+    if X.shape[1] < width:
+        raise ValueError(f"expected windows of shape (n, {width}) or wider, got {X.shape}")
     votes = np.zeros((X.shape[0], len(model.classes)))
     for stump, alpha in zip(model.stumps, model.alphas):
         pred = stump.predict(X)
         votes[np.arange(X.shape[0]), np.searchsorted(model.classes, pred)] += alpha
-    return votes
-
-
-def adaboost_predict(model: AdaBoostModel, x: np.ndarray) -> int:
-    """Predicted class for one vector; vote ties go to the lower class id."""
-    return int(adaboost_predict_many(model, np.asarray(x)[None])[0])
-
-
-def adaboost_predict_many(model: AdaBoostModel, X: np.ndarray) -> np.ndarray:
-    votes = adaboost_votes(model, X)
     return np.asarray(model.classes)[np.argmax(votes, axis=1)]
 
 
 def nearest_neighbor(pool: np.ndarray, x: np.ndarray) -> tuple[int, float]:
     """Exact Euclidean 1-NN in a (m, p) pool; ties to the lower member index."""
-    pool = np.asarray(pool, dtype=np.float64)
-    if pool.ndim != 2 or pool.shape[0] == 0:
-        raise ValueError("pool must be a nonempty (m, p) matrix")
-    d = np.sqrt(((pool - np.asarray(x, dtype=np.float64)) ** 2).sum(axis=1))
+    pool = check_inputs(pool, (None,))
+    if len(pool) == 0:
+        raise ValueError("empty pool")
+    return _nearest(pool, check_inputs([x], pool.shape[1:])[0])
+
+
+def _nearest(pool: np.ndarray, x: np.ndarray) -> tuple[int, float]:
+    """``nearest_neighbor`` on a checked pool and vector."""
+    d = np.sqrt(((pool - x) ** 2).sum(axis=1))
     i = int(np.argmin(d))
     return i, float(d[i])
 
@@ -200,18 +206,14 @@ def ss_init(X: np.ndarray, labels: np.ndarray) -> NnSsState:
     Every class 1..4 must appear; delta_c is the minimum pairwise distance
     within pool c (infinite for singleton pools).
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2:
-        raise ValueError(f"expected (n, p) source vectors, got shape {X.shape}")
-    if y.shape != (X.shape[0],):
-        raise ValueError(f"{X.shape[0]} source vectors but {y.size} labels")
-    missing = [c for c in (1, 2, 3, 4) if not np.any(y == c)]
+    X, y = check_labeled(X, labels, (None,), N_CLASSES, CLASS_LABELS[0])
+    y += CLASS_LABELS[0]  # the class indices back to labels
+    missing = [c for c in CLASS_LABELS if not np.any(y == c)]
     if missing:
         raise ValueError(f"source data lacks classes {missing}; all four are required")
-    pools = {c: X[y == c].copy() for c in (1, 2, 3, 4)}
-    deltas = {c: _min_pairwise(pools[c]) for c in (1, 2, 3, 4)}
-    return NnSsState(pools=pools, deltas=deltas, growth={c: 0 for c in (1, 2, 3, 4)})
+    pools = {c: X[y == c].copy() for c in CLASS_LABELS}
+    deltas = {c: _min_pairwise(pools[c]) for c in CLASS_LABELS}
+    return NnSsState(pools=pools, deltas=deltas, growth={c: 0 for c in CLASS_LABELS})
 
 
 def ss_classify_stream(state: NnSsState, X_test: np.ndarray) -> list[int]:
@@ -221,14 +223,14 @@ def ss_classify_stream(state: NnSsState, X_test: np.ndarray) -> list[int]:
     closest (ties to the lower class id).  When that distance is below the
     winning class's delta, the vector joins the pool and that distance, the
     new member's nearest-neighbour distance, becomes the delta.  Mutates
-    ``state``.
+    ``state``.  The stream is checked once, against the pools' width.
     """
-    X_test = np.asarray(X_test, dtype=np.float64)
+    X_test = check_inputs(X_test, state.pools[CLASS_LABELS[0]].shape[1:])
     preds: list[int] = []
     for x in X_test:
         best_c, best_d = None, None
-        for c in (1, 2, 3, 4):
-            _, d = nearest_neighbor(state.pools[c], x)
+        for c in CLASS_LABELS:
+            _, d = _nearest(state.pools[c], x)
             if best_d is None or d < best_d:
                 best_c, best_d = c, d
         preds.append(best_c)

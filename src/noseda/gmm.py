@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nets.common import check_inputs
+
 VAR_FLOOR = 1e-6
 _WEIGHT_FLOOR = 1e-12
 MAX_ITER = 200
@@ -41,17 +43,6 @@ class GmmParams:
         return self.means.shape[1]
 
 
-def _check_input(X: np.ndarray, p: int | None = None) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite values in input")
-    if p is not None and X.shape[1] != p:
-        raise ValueError(f"input has dimension {X.shape[1]}, model expects {p}")
-    return X
-
-
 def _log_joint(params: GmmParams, X: np.ndarray) -> np.ndarray:
     """(n, k) matrix of log(pi_k) + log N(x_i ; mu_k, diag(var_k))."""
     const = -0.5 * np.log(2.0 * np.pi * params.variances).sum(axis=1)  # (k,)
@@ -66,13 +57,13 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
 
 def gmm_assign(params: GmmParams, X: np.ndarray) -> np.ndarray:
     """Hard cluster ids: argmax posterior, ties to the lower component id."""
-    X = _check_input(X, params.p)
+    X = check_inputs(X, (params.p,))
     lj = _log_joint(params, X)
     return np.argmax(lj, axis=1)
 
 
 def gmm_log_likelihood(params: GmmParams, X: np.ndarray) -> float:
-    X = _check_input(X, params.p)
+    X = check_inputs(X, (params.p,))
     return float(_logsumexp_rows(_log_joint(params, X)).sum())
 
 
@@ -99,7 +90,7 @@ def gmm_fit(X: np.ndarray, k: int = 2, seed: int = 0, return_trace: bool = False
     Returns GmmParams, or (GmmParams, trace) with the per-iteration
     log-likelihood trace when ``return_trace`` is set.
     """
-    X = _check_input(X)
+    X = check_inputs(X, (None,))
     n, p = X.shape
     if n < k:
         raise ValueError(f"need at least k={k} points, got {n}")

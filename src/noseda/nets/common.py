@@ -143,18 +143,23 @@ def check_inputs(X, shape) -> np.ndarray:
 
 
 def check_labeled(X, labels, shape, n_classes: int, first: int) -> tuple[np.ndarray, np.ndarray]:
-    """``check_inputs`` on ``X``, then a nonempty set with one label per input,
-    each in ``first..first + n_classes - 1``.  Returns X and the labels as
-    0-based class indices."""
+    """``check_inputs`` on ``X``, then a nonempty set with one integral label
+    per input, each in ``first..first + n_classes - 1``.  Returns X and the
+    labels as 0-based class indices."""
     X = check_inputs(X, shape)
-    y = np.asarray(labels, dtype=np.int64)
+    y = np.asarray(labels, dtype=np.float64)
     if y.shape != (len(X),):
         raise ValueError(f"{len(X)} inputs but {y.size} labels of shape {y.shape}")
     if len(X) == 0:
         raise ValueError("empty input set")
-    if y.min() < first or y.max() >= first + n_classes:
-        raise ValueError(f"labels must lie in {first}..{first + n_classes - 1}, got range [{y.min()}, {y.max()}]")
-    return X, y - first
+    # checked as floats: casting NaN or inf to int64 would warn
+    bad = np.flatnonzero(~np.isfinite(y) | (np.floor(y) != y))
+    if bad.size:
+        raise ValueError(f"labels must be integers, got {y[bad[0]]} at position {bad[0]}")
+    lo, hi = int(y.min()), int(y.max())
+    if lo < first or hi >= first + n_classes:
+        raise ValueError(f"labels must lie in {first}..{first + n_classes - 1}, got range [{lo}, {hi}]")
+    return X, y.astype(np.int64) - first
 
 
 def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .gmm import GmmParams, gmm_assign, gmm_fit
 from .ingest import StandardizationStats, Windows, WindowSet, as_window_set
-from .nets.common import TrainConfig
+from .nets.common import TrainConfig, check_labeled
 from .nets.lstm import LstmParams, lstm_loss, lstm_predict, lstm_predict_proba, lstm_train_many
 from .nets.softmax_regression import (
     SoftmaxRegressionParams,
@@ -200,13 +200,11 @@ def fit_gate(shots: Windows, assignments: Sequence[int], n_clusters: int, l2: fl
     """Train the shot-features -> cluster-id router: ``softmax_train`` with
     its default iteration cap and its tolerance ``softmax_regression.TOL``.
 
+    The shots and their cluster ids (0..n_clusters - 1) are checked first.
     When every shot lands in one cluster the gate degenerates to a constant
     classifier for that cluster.
     """
-    if len(shots) == 0:
-        raise ValueError("cannot fit a gate without shots")
-    flats = as_window_set(shots).flat
-    y = np.asarray(assignments, dtype=np.int64)
+    flats, y = check_labeled(as_window_set(shots).flat, assignments, (None,), n_clusters, 0)
     distinct = set(y.tolist())
     if len(distinct) == 1:
         c = distinct.pop()

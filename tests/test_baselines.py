@@ -263,7 +263,7 @@ class TestSsInit:
     def test_label_count_must_match_vectors(self, n_labels):
         X = np.arange(12.0).reshape(6, 2)
         y = np.tile([1, 2, 3, 4], 2)[:n_labels]
-        with pytest.raises(ValueError, match=f"6 source vectors but {n_labels} labels"):
+        with pytest.raises(ValueError, match=f"6 inputs but {n_labels} labels"):
             ss_init(X, y)
 
     def test_missing_classes_listed(self):

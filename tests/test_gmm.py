@@ -152,7 +152,7 @@ class TestPosterior:
         assert gmm_log_likelihood(flipped, X) == pytest.approx(gmm_log_likelihood(params, X), abs=1e-9)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension 3, model expects 2"):
+        with pytest.raises(ValueError, match=r"expected windows of shape \(n, 2\), got \(1, 3\)"):
             gmm_assign(self.symmetric_params(), np.zeros((1, 3)))
 
 

@@ -304,6 +304,25 @@ class TestGate:
         with pytest.raises(ValueError, match="non-finite"):
             fit_gate(shots, [0, 1] * 4, n_clusters=2)
 
+    def test_non_finite_shot_rejected_when_one_cluster(self, rng):
+        # the constant-gate path used to return bias [-1000, 0] unchecked
+        X = rng.normal(size=(8, 2, 2))
+        X[3, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_gate(windows_from_arrays(X, 1 + np.arange(8) % 4), [1] * 8, n_clusters=2)
+
+    def test_assignments_below_zero_rejected(self, rng):
+        # all -1 used to give a constant gate for the last cluster
+        shots = windows_from_arrays(rng.normal(size=(8, 2, 2)), 1 + np.arange(8) % 4)
+        with pytest.raises(ValueError, match=re.escape("labels must lie in 0..1, got range [-1, -1]")):
+            fit_gate(shots, [-1] * 8, n_clusters=2)
+
+    def test_assignments_past_last_cluster_rejected(self, rng):
+        # all n_clusters used to raise a bare IndexError
+        shots = windows_from_arrays(rng.normal(size=(8, 2, 2)), 1 + np.arange(8) % 4)
+        with pytest.raises(ValueError, match=re.escape("labels must lie in 0..1, got range [2, 2]")):
+            fit_gate(shots, [2] * 8, n_clusters=2)
+
 
 class TestPredict:
     def constant_gate_model(self, experts, to_cluster, d=2):
