@@ -63,10 +63,8 @@ from .pipeline import (
     ClusterExpert,
     GateModel,
     HierarchicalModel,
-    ObjectiveValues,
     SelectionReport,
     adapt_experts,
-    evaluate_objective,
     fit,
     fit_gate,
     fit_selected,

@@ -111,6 +111,8 @@ def adaboost_train(X: np.ndarray, labels: np.ndarray, n_estimators: int = 100) -
     chance margin 1 - 1/K (weak-learner failure) or hits zero (the sample
     weights would collapse).
     """
+    if n_estimators < 1:
+        raise ValueError(f"adaboost_train: n_estimators must be >= 1, got {n_estimators}")
     X, y = check_labeled(X, labels, (None,), N_CLASSES, CLASS_LABELS[0])
     y += CLASS_LABELS[0]  # the class indices back to labels
     classes = tuple(sorted(set(y.tolist())))

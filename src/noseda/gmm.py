@@ -27,11 +27,19 @@ class GmmParams:
     variances: np.ndarray  # (k, p)
 
     def __post_init__(self):
-        if abs(float(self.weights.sum()) - 1.0) > 1e-9:
+        """O(k p) checks, since ``gmm_fit`` builds one per EM iteration."""
+        w, m, v = self.weights, self.means, self.variances
+        if w.ndim != 1 or m.ndim != 2 or m.shape[0] != w.shape[0] or v.shape != m.shape:
+            raise ValueError(
+                f"mixture weights {w.shape}, means {m.shape} and variances {v.shape} are not (k,), (k, p) and (k, p)"
+            )
+        if not all(np.isfinite(a).all() for a in (w, m, v)):
+            raise ValueError("non-finite mixture weights, means or variances")
+        if abs(float(w.sum()) - 1.0) > 1e-9:
             raise ValueError("mixture weights must sum to 1")
-        if np.any(self.weights <= 0):
+        if np.any(w <= 0):
             raise ValueError("mixture weights must be positive")
-        if np.any(self.variances < VAR_FLOOR):
+        if np.any(v < VAR_FLOOR):
             raise ValueError(f"variances below floor {VAR_FLOOR}")
 
     @property

@@ -6,7 +6,6 @@ from .lstm import (
     HIDDEN_DIM,
     LstmParams,
     lstm_init,
-    lstm_loss,
     lstm_loss_grad,
     lstm_predict,
     lstm_predict_proba,
@@ -22,7 +21,6 @@ from .mlp import (
 )
 from .softmax_regression import (
     SoftmaxRegressionParams,
-    softmax_loss,
     softmax_loss_grad,
     softmax_predict_proba,
     softmax_train,
@@ -34,7 +32,6 @@ __all__ = [
     "HIDDEN_DIM",
     "LstmParams",
     "lstm_init",
-    "lstm_loss",
     "lstm_loss_grad",
     "lstm_predict",
     "lstm_predict_proba",
@@ -46,7 +43,6 @@ __all__ = [
     "mlp_predict_proba",
     "mlp_train",
     "SoftmaxRegressionParams",
-    "softmax_loss",
     "softmax_loss_grad",
     "softmax_predict_proba",
     "softmax_train",

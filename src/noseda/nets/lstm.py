@@ -129,13 +129,6 @@ def lstm_predict(params: LstmParams, X: np.ndarray) -> np.ndarray:
     return np.argmax(lstm_predict_proba(params, X), axis=1) + 1
 
 
-def lstm_loss(params: LstmParams, X: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy of the model on (X, labels), dropout off."""
-    X, y = check_labeled(X, labels, (2, params.input_dim), params.n_classes, 1)
-    _, cache = _forward(params, X)
-    return float(-cache["log_probs"][np.arange(len(y)), y].mean())
-
-
 def _gate_grad(dh: np.ndarray, dc_next, step: dict, c_prev, dz: np.ndarray) -> np.ndarray:
     """One step of BPTT: write the gradient w.r.t. the gate pre-activations
     into ``dz`` (blocks [i | f | o | g]) and return the one w.r.t. the cell

@@ -51,11 +51,6 @@ def softmax_predict_proba(params: SoftmaxRegressionParams, X: np.ndarray) -> np.
     return softmax(_logits(params.weights, params.bias, X))
 
 
-def softmax_loss(params: SoftmaxRegressionParams, X: np.ndarray, y_idx: np.ndarray, l2: float = 0.0) -> float:
-    X, y = check_labeled(X, y_idx, (params.input_dim,), params.n_classes, 0)
-    return _objective_lp(params.weights, params.bias, X, class_positions(y, params.n_classes), l2)[0]
-
-
 def _objective_lp(weights, bias, X, true, l2) -> tuple[float, np.ndarray]:
     """The objective and the (n, C) log-probabilities it was computed from;
     ``true`` holds the flat position of each input's true class in them."""

@@ -30,13 +30,8 @@ import numpy as np
 from .gmm import GmmParams, gmm_assign, gmm_fit
 from .ingest import StandardizationStats, Windows, WindowSet, as_window_set
 from .nets.common import TrainConfig, check_labeled
-from .nets.lstm import LstmParams, lstm_loss, lstm_predict, lstm_predict_proba, lstm_train_many
-from .nets.softmax_regression import (
-    SoftmaxRegressionParams,
-    softmax_loss,
-    softmax_predict_proba,
-    softmax_train,
-)
+from .nets.lstm import LstmParams, lstm_predict, lstm_predict_proba, lstm_train_many
+from .nets.softmax_regression import SoftmaxRegressionParams, softmax_predict_proba, softmax_train
 from .serialize import from_json, to_json
 
 log = logging.getLogger(__name__)
@@ -124,18 +119,6 @@ def _histogram(labels: np.ndarray) -> np.ndarray:
     return np.bincount(labels, minlength=5)[1:5]
 
 
-def _stack(parts: Sequence[Windows]) -> tuple[np.ndarray, np.ndarray]:
-    """The (X, y) arrays of the nonempty parts' windows, end to end."""
-    sets = [as_window_set(part) for part in parts if len(part)]
-    return np.concatenate([s.X for s in sets]), np.concatenate([s.y for s in sets])
-
-
-def _members(gmm: GmmParams, flats: np.ndarray) -> list[np.ndarray]:
-    """The source-window indices of each GMM cluster, in source order."""
-    assignment = gmm_assign(gmm, flats)
-    return [np.flatnonzero(assignment == c) for c in range(gmm.k)]
-
-
 def _adaptation_set(members: np.ndarray, n_source: int, routed: Sequence[int], c: int) -> np.ndarray:
     """Cluster ``c``'s adaptation set, as indices into the source windows
     followed by the shots: its source windows ``members`` in source order,
@@ -150,9 +133,10 @@ def _train_networks(stage: str, parts, sets_per_run, configs) -> list[list[LstmP
     windows of ``parts`` end to end; callers keep only indices, and the
     window copies are made here.  Returns the networks per run."""
     jobs = [(c, idx, cfg) for sets, cfg in zip(sets_per_run, configs) for c, idx in sets]
-    X, y = _stack(parts)
+    parts = [as_window_set(part) for part in parts if len(part)]
+    X, y = np.concatenate([p.X for p in parts]), np.concatenate([p.y for p in parts])
     Xs, ys = [X[idx] for _, idx, _ in jobs], [y[idx] for _, idx, _ in jobs]
-    del X, y  # only the copies live on through training
+    del parts, X, y  # only the copies live on through training
     params = iter(lstm_train_many(Xs, ys, [replace(cfg, seed=stage_seed(cfg.seed, stage, c)) for c, _, cfg in jobs]))
     return [[next(params) for _ in sets] for sets in sets_per_run]
 
@@ -237,7 +221,8 @@ def _fit_staged(
     gmms, members = [], []
     for cfg in configs:
         gmms.append(gmm_fit(flats, k=k, seed=stage_seed(cfg.seed, "gmm")))
-        members.append(_members(gmms[-1], flats))
+        assignment = gmm_assign(gmms[-1], flats)
+        members.append([np.flatnonzero(assignment == c) for c in range(k)])
         sizes = [idx.size for idx in members[-1]]
         if 0 in sizes:
             raise ValueError(f"cluster {sizes.index(0)} received no source windows; retry with a different seed")
@@ -471,43 +456,6 @@ def fit_selected(
         eval_file_accuracies=tuple(eval_file_accs),
     )
     return best_model, report
-
-
-@dataclass(frozen=True)
-class ObjectiveValues:
-    """The three staged training objectives, evaluated on fitted parameters."""
-
-    source_expert_loss: float  # mean CE of pre-adaptation experts on their own clusters
-    gate_loss: float  # mean CE of the gate on the routed shots
-    adapted_expert_loss: float  # mean CE of adapted experts on source + shots
-
-    @property
-    def staged(self) -> tuple[float, float, float]:
-        """The composite objective: the three values in stage order."""
-        return (self.source_expert_loss, self.gate_loss, self.adapted_expert_loss)
-
-
-def evaluate_objective(model: HierarchicalModel, source_windows: Windows, shots: Windows) -> ObjectiveValues:
-    source = as_window_set(source_windows)
-    X, y = _stack([source, shots])
-    shot_assign = model.shot_assignments if len(shots) else ()
-    total_before = total_after = 0.0
-    n_after = 0
-    for e, idx in zip(model.experts, _members(model.gmm, source.flat)):
-        if idx.size:
-            total_before += lstm_loss(e.expert_before, X[idx], y[idx]) * idx.size
-        # adapted experts are scored on the same augmented set they trained on
-        sel = _adaptation_set(idx, len(source), shot_assign, e.cluster_id)
-        if sel.size:
-            total_after += lstm_loss(e.expert_after, X[sel], y[sel]) * sel.size
-            n_after += sel.size
-
-    e1 = total_before / len(source)
-    e2 = 0.0
-    if len(shots):
-        e2 = softmax_loss(model.gate.params, as_window_set(shots).flat, np.asarray(shot_assign), l2=0.0)
-    e3 = total_after / n_after
-    return ObjectiveValues(source_expert_loss=e1, gate_loss=float(e2), adapted_expert_loss=e3)
 
 
 def model_to_json_bytes(model) -> bytes:

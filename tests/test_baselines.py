@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,12 @@ class TestAdaBoostTrain:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             adaboost_train(np.zeros((5, 1)), np.ones(5, dtype=int))
+
+    @pytest.mark.parametrize("n_estimators", [0, -3])
+    def test_no_estimators_rejected(self, rng, n_estimators):
+        X, y = rng.normal(size=(8, 2)), 1 + np.arange(8) % 4
+        with pytest.raises(ValueError, match=re.escape(f"n_estimators must be >= 1, got {n_estimators}")):
+            adaboost_train(X, y, n_estimators=n_estimators)
 
     def test_accuracy_monotone_in_estimators(self, rng):
         X, y = skewed_checkerboard(rng)

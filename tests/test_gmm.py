@@ -1,9 +1,16 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
 from noseda.gmm import GmmParams, gmm_assign, gmm_fit, gmm_log_likelihood
+from noseda.nets import TrainConfig
+from noseda.pipeline import fit, load_model, save_model
 from noseda.serialize import from_json, to_json
+
+from conftest import windows_from_arrays
 
 
 def two_blob_data(rng, n=200, centers=(-5.0, 5.0), d=2):
@@ -201,3 +208,43 @@ class TestSerialization:
         assert np.array_equal(clone.variances, params.variances)
         assert clone.k == 2
         assert set(to_json(clone)) == {"weights", "means", "variances"}  # k is derived, not stored
+
+
+class TestParamsChecks:
+    """``GmmParams`` rejects arrays that do not describe one mixture of k
+    p-dimensional components, and non-finite values, when it is built."""
+
+    @pytest.mark.parametrize(
+        "weights, means, variances",
+        [
+            pytest.param(np.full((1, 2), 0.5), np.zeros((2, 4)), np.ones((2, 4)), id="2-D weights"),
+            pytest.param(np.array(1.0), np.zeros((1, 4)), np.ones((1, 4)), id="0-D weights"),
+            pytest.param(np.full(2, 0.5), np.zeros(4), np.ones(4), id="1-D means and variances"),
+            pytest.param(np.full(2, 0.5), np.zeros((3, 4)), np.ones((3, 4)), id="k means for other weights"),
+            pytest.param(np.full(2, 0.5), np.zeros((2, 4)), np.ones((2, 5)), id="variances wider than means"),
+            pytest.param(np.full(2, 0.5), np.zeros((2, 4)), np.ones((3, 4)), id="more variances than means"),
+            pytest.param(np.full(2, 0.5), np.zeros((3, 4)), np.ones((2, 5)), id="all three disagree"),
+        ],
+    )
+    def test_shapes_named(self, weights, means, variances):
+        names = f"weights {weights.shape}, means {means.shape} and variances {variances.shape}"
+        with pytest.raises(ValueError, match=re.escape(names)):
+            GmmParams(weights=weights, means=means, variances=variances)
+
+    @pytest.mark.parametrize("field", ["weights", "means", "variances"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, field, value):
+        arrays = {"weights": np.full(2, 0.5), "means": np.zeros((2, 3)), "variances": np.ones((2, 3))}
+        arrays[field][-1] = value
+        with pytest.raises(ValueError, match="non-finite mixture weights, means or variances"):
+            GmmParams(**arrays)
+
+    def test_saved_model_with_wrong_width_means_fails_to_load(self, rng, tmp_path):
+        windows = windows_from_arrays(rng.normal(size=(12, 2, 2)), 1 + np.arange(12) % 4)
+        path = tmp_path / "model.json"
+        save_model(fit(windows, windows[:4], k=1, config=TrainConfig(epochs=1, batch_size=8)), path)
+        obj = json.loads(path.read_text())
+        obj["gmm"]["means"] = [row + [0.0] for row in obj["gmm"]["means"]]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=re.escape("means (1, 5) and variances (1, 4)")):
+            load_model(path)

@@ -6,7 +6,7 @@ import pytest
 
 from noseda.nets import Adam, TrainConfig, lstm_predict, lstm_predict_proba, lstm_train
 from noseda.nets.common import dropout_mask, log_softmax, minibatch_indices
-from noseda.nets.lstm import LstmParams, lstm_init, lstm_loss, lstm_loss_grad, lstm_train_many, _forward
+from noseda.nets.lstm import LstmParams, lstm_init, lstm_loss_grad, lstm_train_many, _forward
 from noseda.serialize import from_json, to_json
 
 
@@ -142,7 +142,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=30, dropout=0.0, learning_rate=0.01, batch_size=32, seed=1)
         params, trace = lstm_train(X, y, cfg, return_trace=True)
         assert trace[-1] < trace[0]
-        assert lstm_loss(params, X, y) < trace[0]
+        assert lstm_loss_grad(params, X, y)[0] < trace[0]
 
 
 def textbook_loss_grad(params, X, labels, drop):
@@ -255,7 +255,7 @@ class TestLoss:
             X, y = separable_windows(rng, n=int(rng.integers(1, 40)))
             _, cache = _forward(params, X)
             log_probs = log_softmax(cache["logits"])
-            assert lstm_loss(params, X, y) == float(-log_probs[np.arange(len(y)), y - 1].mean())
+            assert lstm_loss_grad(params, X, y)[0] == float(-log_probs[np.arange(len(y)), y - 1].mean())
 
 
 class TestTrainMany:

@@ -16,11 +16,10 @@ from noseda.baselines import (
 )
 from noseda.gmm import GmmParams, gmm_assign, gmm_fit, gmm_log_likelihood
 from noseda.nets import TrainConfig
-from noseda.nets.lstm import lstm_init, lstm_loss, lstm_loss_grad, lstm_predict_proba, lstm_train, lstm_train_many
+from noseda.nets.lstm import lstm_init, lstm_loss_grad, lstm_predict_proba, lstm_train, lstm_train_many
 from noseda.nets.mlp import mlp_init, mlp_loss_grad, mlp_predict_proba, mlp_train
 from noseda.nets.softmax_regression import (
     SoftmaxRegressionParams,
-    softmax_loss,
     softmax_loss_grad,
     softmax_predict_proba,
     softmax_train,
@@ -37,13 +36,11 @@ POOL = np.random.default_rng(1).normal(size=(3, 6))
 
 # name -> (shape of one input, first label, call(X, labels))
 LABELED = {
-    "lstm_loss": ((2, 3), 1, lambda X, y: lstm_loss(lstm_init(3), X, y)),
     "lstm_loss_grad": ((2, 3), 1, lambda X, y: lstm_loss_grad(lstm_init(3), X, y)),
     "lstm_train": ((2, 3), 1, lambda X, y: lstm_train(X, y, ONE_EPOCH)),
     "lstm_train_many": ((2, 3), 1, lambda X, y: lstm_train_many([X], [y], [ONE_EPOCH])),
     "mlp_loss_grad": ((6,), 1, lambda X, y: mlp_loss_grad(mlp_init(6, hidden=(4, 4)), X, y)),
     "mlp_train": ((6,), 1, lambda X, y: mlp_train(X, y, ONE_EPOCH, hidden=(4, 4))),
-    "softmax_loss": ((6,), 0, lambda X, y: softmax_loss(SOFTMAX, X, y)),
     "softmax_loss_grad": ((6,), 0, lambda X, y: softmax_loss_grad(SOFTMAX, X, y)),
     "softmax_train": ((6,), 0, lambda X, y: softmax_train(X, y, 4)),
     "adaboost_train": ((6,), 1, lambda X, y: adaboost_train(X, y, n_estimators=2)),

@@ -1,6 +1,5 @@
 import json
 import logging
-import math
 import os
 import re
 from dataclasses import replace
@@ -20,7 +19,6 @@ from noseda.pipeline import (
     HierarchicalModel,
     SelectionReport,
     adapt_experts,
-    evaluate_objective,
     fit,
     fit_gate,
     fit_selected,
@@ -75,14 +73,6 @@ def two_cluster_windows(rng, n_per=60):
         label = 3 + (i % 2)
         ws.append(window(rng.normal(20.0, 1.0, size=(2, 2)) + label, label, t=i))
     return ws
-
-
-def trivial_gmm(flats):
-    return GmmParams(
-        weights=np.array([1.0]),
-        means=flats.mean(axis=0, keepdims=True),
-        variances=np.maximum(flats.var(axis=0, keepdims=True), 1e-6),
-    )
 
 
 class TestFitSource:
@@ -666,49 +656,6 @@ class TestStructuralCollapse:
         Xt, yt = stack_windows(list(ws) + list(shots))
         plain = lstm_train(Xt, yt, replace(cfg, seed=stage_seed(cfg.seed, "adapt", 0)))
         assert np.array_equal(pipe_preds, lstm_predict(plain, X))
-
-
-class TestObjective:
-    def test_perfect_experts_and_gate_give_zero(self, rng):
-        ws = [window(rng.normal(size=(2, 2)), 3, t=i) for i in range(6)]
-        shots = [window(rng.normal(size=(2, 2)), 3) for _ in range(2)]
-        flats = flatten_windows(ws)
-        model = HierarchicalModel(
-            gmm=trivial_gmm(flats),
-            experts=(exact_expert(3, 0, hist=(0, 0, 6, 0)),),
-            gate=fit_gate(shots, [0, 0], n_clusters=1),
-            stats=StandardizationStats.identity(2),
-            shot_assignments=(0, 0),
-        )
-        obj = evaluate_objective(model, ws, shots)
-        assert obj.source_expert_loss == 0.0
-        assert obj.gate_loss == 0.0
-        assert obj.adapted_expert_loss == 0.0
-        assert obj.staged == (0.0, 0.0, 0.0)
-
-    def test_single_cluster_gate_loss_is_exactly_zero(self, rng):
-        ws = [window(rng.normal(size=(2, 2)), 1 + i % 4, t=i) for i in range(8)]
-        shots = [window(rng.normal(size=(2, 2)), 1 + i % 4) for i in range(4)]
-        model = fit(ws, shots, k=1, config=FAST)
-        assert evaluate_objective(model, ws, shots).gate_loss == 0.0
-
-    def test_hand_summed_adapted_loss(self, rng):
-        # 4 source + 2 shot samples, one constant-output expert: the adapted
-        # loss is the average negative log probability of each true label
-        q = np.array([0.1, 0.2, 0.3, 0.4])
-        labels = [1, 2, 3, 4]
-        ws = [window(rng.normal(size=(2, 2)), y, t=i) for i, y in enumerate(labels)]
-        shots = [window(rng.normal(size=(2, 2)), 2), window(rng.normal(size=(2, 2)), 4)]
-        model = HierarchicalModel(
-            gmm=trivial_gmm(flatten_windows(ws)),
-            experts=(bias_expert(q, 0, hist=(1, 1, 1, 1)),),
-            gate=fit_gate(shots, [0, 0], n_clusters=1),
-            stats=StandardizationStats.identity(2),
-            shot_assignments=(0, 0),
-        )
-        expected = -sum(math.log(q[y - 1]) for y in labels + [2, 4]) / 6
-        got = evaluate_objective(model, ws, shots).adapted_expert_loss
-        assert got == pytest.approx(expected, abs=1e-12)
 
 
 class TestPersistence:
