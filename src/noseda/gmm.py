@@ -27,7 +27,10 @@ class GmmParams:
     variances: np.ndarray  # (k, p)
 
     def __post_init__(self):
-        """O(k p) checks, since ``gmm_fit`` builds one per EM iteration."""
+        """O(k p) checks, since ``gmm_fit`` builds one per EM iteration.
+        The fields become float64 arrays; a float64 array passes through as is."""
+        for name in ("weights", "means", "variances"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         w, m, v = self.weights, self.means, self.variances
         if w.ndim != 1 or m.ndim != 2 or m.shape[0] != w.shape[0] or v.shape != m.shape:
             raise ValueError(
@@ -102,10 +105,14 @@ def gmm_fit(X: np.ndarray, k: int = 2, seed: int = 0, return_trace: bool = False
     n, p = X.shape
     if n < k:
         raise ValueError(f"need at least k={k} points, got {n}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = X.var(axis=0)
+    if not np.all(np.isfinite(var)):
+        raise ValueError(f"input variance overflows float64 (largest |x| is {np.abs(X).max():.3g}); rescale it")
     rng = np.random.default_rng(seed)
 
     means = _farthest_point_means(X, k, rng)
-    variances = np.tile(np.maximum(X.var(axis=0), VAR_FLOOR), (k, 1))
+    variances = np.tile(np.maximum(var, VAR_FLOOR), (k, 1))
     weights = np.full(k, 1.0 / k)
 
     trace: list[float] = []

@@ -306,15 +306,11 @@ def harmonize(ds: SequenceDataset, drop: Sequence[str] = DEFAULT_DROP) -> Sequen
     return replace(ds, feature_matrix=ds.feature_matrix[:, keep], feature_names=names)
 
 
-def fit_standardizer(data) -> StandardizationStats:
-    """Per-feature mean and population (N-divisor) std over one or more datasets.
+def fit_standardizer(datasets: Sequence[SequenceDataset]) -> StandardizationStats:
+    """Per-feature mean and population (N-divisor) std over a sequence of datasets.
 
     Stds are floored at 1e-8 so degenerate channels stay usable.
     """
-    if isinstance(data, SequenceDataset):
-        datasets = [data]
-    else:
-        datasets = list(data)
     if not datasets or sum(len(ds) for ds in datasets) == 0:
         raise ValueError("cannot fit standardizer on empty data")
     X = np.concatenate([ds.feature_matrix for ds in datasets], axis=0)

@@ -48,8 +48,9 @@ class Adam:
 
     def step(self, params, grads) -> None:
         self.t += 1
+        c1, c2 = 1 - BETA1**self.t, 1 - BETA2**self.t
         for p, g, m, v, s in zip(params, grads, self.m, self.v, self.scratch):
-            adam_update(p, g, m, v, self.t, self.lr, s)
+            adam_update(p, g, m, v, c1, c2, self.lr, s)
 
 
 def adam_corrections(steps: int) -> np.ndarray:
@@ -58,27 +59,21 @@ def adam_corrections(steps: int) -> np.ndarray:
     return np.array([(1 - BETA1**t, 1 - BETA2**t) for t in range(steps + 1)])
 
 
-def adam_update(p, g, m, v, t, lr, scratch, corrections=None) -> None:
+def adam_update(p, g, m, v, c1, c2, lr, scratch) -> None:
     """One in-place Adam update of ``p`` and its moments ``m``, ``v``.
 
-    ``t`` is the step count: an int, or an int array (or sequence) with one
-    entry per row of a stack of models (``p.shape[0] == len(t)``), each row
-    then taking its own bias correction.  A per-row ``t`` gathers its
-    corrections from ``corrections``, an ``adam_corrections`` table covering
-    every entry of ``t``.  The corrections ``1 - BETA1**t`` and
-    ``1 - BETA2**t`` are Python floats either way, so a stacked row updates
-    bit for bit like a lone model.
+    ``c1`` and ``c2`` are the bias corrections ``1 - BETA1**t`` and
+    ``1 - BETA2**t`` of step ``t``: Python floats, or arrays that broadcast
+    against ``p`` (an (m, 1) column of ``adam_corrections`` rows for a stack
+    of m models at their own step counts).  Either way each value is the
+    Python float expression's, so a stacked row updates bit for bit like a
+    lone model.
 
     ``scratch`` is a pair of arrays shaped like ``p`` that receive the
     intermediates, so that a caller stepping many times allocates them once.
     The arithmetic is the textbook expression's, operation for operation:
     ``v += ((1 - BETA2) * g) * g`` and ``p -= (lr * m_hat) / (sqrt(v_hat) + EPS)``.
     """
-    if isinstance(t, int):
-        c1, c2 = 1 - BETA1**t, 1 - BETA2**t
-    else:
-        c = corrections[t].reshape((-1,) + (1,) * (p.ndim - 1) + (2,))
-        c1, c2 = c[..., 0], c[..., 1]
     s1, s2 = scratch
     m *= BETA1
     np.multiply(g, 1 - BETA1, out=s1)

@@ -312,9 +312,9 @@ def lstm_train_many(
             drop = None if drop_ep is None else drop_ep[a:b, batch]
             loss = _loss_grad(subs[a, b], X_ep[a:b, batch], y_ep[a:b, batch], drop, grad[a:b])
             t[a:b] += 1
+            c = corrections[t[a:b]]
             adam_update(
-                flat[a:b], grad[a:b], adam_m[a:b], adam_v[a:b], t[a:b], lr, (adam_s1[a:b], adam_s2[a:b]),
-                corrections=corrections,
+                flat[a:b], grad[a:b], adam_m[a:b], adam_v[a:b], c[:, :1], c[:, 1:], lr, (adam_s1[a:b], adam_s2[a:b])
             )
             totals[a:b] += loss * length
         for j in range(M):

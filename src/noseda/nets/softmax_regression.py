@@ -25,6 +25,8 @@ class SoftmaxRegressionParams:
     bias: np.ndarray  # (C,)
 
     def __post_init__(self):
+        for name in ("weights", "bias"):  # a float64 array passes as is
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise ValueError("non-finite parameters")
         if self.weights.shape[0] != self.bias.shape[0]:

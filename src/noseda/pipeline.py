@@ -115,10 +115,6 @@ class SelectionReport:
             raise ValueError("selected run must be the shot-accuracy argmax (earliest tie)")
 
 
-def _histogram(labels: np.ndarray) -> np.ndarray:
-    return np.bincount(labels, minlength=5)[1:5]
-
-
 def _adaptation_set(members: np.ndarray, n_source: int, routed: Sequence[int], c: int) -> np.ndarray:
     """Cluster ``c``'s adaptation set, as indices into the source windows
     followed by the shots: its source windows ``members`` in source order,
@@ -215,8 +211,6 @@ def _fit_staged(
     windows.  Each model is bit-identical to what a lone fit with its config
     would build.
     """
-    if len(source) < k:
-        raise ValueError(f"need at least k={k} source windows, got {len(source)}")
     flats, n = source.flat, len(source)
     gmms, members = [], []
     for cfg in configs:
@@ -228,7 +222,10 @@ def _fit_staged(
             raise ValueError(f"cluster {sizes.index(0)} received no source windows; retry with a different seed")
     networks = _train_networks("expert", [source], [list(enumerate(m)) for m in members], configs)
     experts = [
-        [ClusterExpert(c, net, None, _histogram(source.y[idx])) for c, (idx, net) in enumerate(zip(run_members, nets))]
+        [
+            ClusterExpert(c, net, None, np.bincount(source.y[idx], minlength=5)[1:5])
+            for c, (idx, net) in enumerate(zip(run_members, nets))
+        ]
         for run_members, nets in zip(members, networks)
     ]
     routes, gates = [], []
@@ -372,14 +369,10 @@ def fit(
     return _fit_many(as_window_set(source_windows), as_window_set(shots), k, [config], stats, gate_l2)[0]
 
 
-def predict_batch(model: HierarchicalModel, windows) -> np.ndarray:
-    """Gate each window to a cluster and answer with that cluster's adapted
-    expert, over (n, 2, d) windows, a WindowSet or a WindowSample list.
-    Zero windows give an empty int64 array."""
-    if isinstance(windows, np.ndarray):
-        X = windows.astype(np.float64, copy=False)
-    else:
-        X = as_window_set(windows).X
+def predict_batch(model: HierarchicalModel, X: np.ndarray) -> np.ndarray:
+    """Gate each of the (n, 2, d) windows ``X`` to a cluster and answer with
+    that cluster's adapted expert.  Zero windows give an empty int64 array."""
+    X = X.astype(np.float64, copy=False)
     out = np.empty(X.shape[0], dtype=np.int64)
     if X.shape[0] == 0:
         return out
@@ -413,7 +406,9 @@ def fit_selected(
     ``evals`` further fits with fresh seeds ("refit" mode, the default) or
     from re-evaluating the selected model ("repredict" mode, where a
     deterministic model yields identical entries).  Test labels are touched
-    only by the accuracy bookkeeping, never by any fit.
+    only by the accuracy bookkeeping, never by any fit.  Every test pool
+    must hold a window: no pool, or an empty one, is a ``ValueError`` raised
+    before any fit.
 
     All the fits (the ``runs`` selection seeds, plus the ``evals`` refit
     seeds in "refit" mode) run together, stage by stage: the source experts
@@ -428,10 +423,13 @@ def fit_selected(
         raise ValueError(f"unknown eval_mode {eval_mode!r}")
     if runs < 1 or evals < 1:
         raise ValueError("need at least one selection run and one evaluation")
+    if not test_pools:
+        raise ValueError("need at least one test pool")
+    empty = [i for i, p in enumerate(test_pools) if len(p) == 0]
+    if empty:
+        raise ValueError(f"test pool {empty[0]} is empty")
     source, shots = as_window_set(source_windows), as_window_set(shots)
-    pools = [as_window_set(p) for p in test_pools if len(p) > 0]
-    if len(pools) != len(test_pools):
-        log.warning("ignoring %d empty test pool(s)", len(test_pools) - len(pools))
+    pools = [as_window_set(p) for p in test_pools]
 
     n_fits = runs + evals if eval_mode == "refit" else runs
     log.info("fit_selected fits=%d workers=%d", n_fits, _worker_count(n_fits))
@@ -446,7 +444,7 @@ def fit_selected(
         eval_file_accs = [file_accuracies(m) for m in models[runs:]]
     else:  # the selected model is deterministic: score it once
         eval_file_accs = [file_accuracies(best_model)] * evals
-    eval_accs = [float(np.mean(f)) if f else float("nan") for f in eval_file_accs]
+    eval_accs = [float(np.mean(f)) for f in eval_file_accs]
 
     report = SelectionReport(
         shot_accuracies=tuple(shot_accs),

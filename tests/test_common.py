@@ -20,7 +20,7 @@ class TestAdamUpdate:
         scratch = (np.empty_like(p), np.empty_like(p))
         for t in range(1, 6):
             g = rng.normal(size=p.shape)
-            adam_update(p, g, m, v, t, 1e-3, scratch)
+            adam_update(p, g, m, v, 1 - 0.9**t, 1 - 0.999**t, 1e-3, scratch)
             ref = textbook_adam(*ref[:1], g, *ref[1:], t, 1e-3)
             assert np.array_equal(p, ref[0]) and np.array_equal(m, ref[1]) and np.array_equal(v, ref[2])
 
@@ -31,7 +31,8 @@ class TestAdamUpdate:
         t = [1, 7, 30]
         g = rng.normal(size=p.shape)
         expected = [textbook_adam(p[r], g[r], m[r], v[r], t[r], 0.01) for r in range(3)]
-        adam_update(p, g, m, v, t, 0.01, (np.empty_like(p), np.empty_like(p)), corrections=adam_corrections(30))
+        c = adam_corrections(30)[t].reshape(3, 1, 1, 2)  # one (c1, c2) per model, broadcast over its rows
+        adam_update(p, g, m, v, c[..., 0], c[..., 1], 0.01, (np.empty_like(p), np.empty_like(p)))
         for r in range(3):
             assert np.array_equal(p[r], expected[r][0])
             assert np.array_equal(m[r], expected[r][1])

@@ -60,6 +60,13 @@ class TestFit:
         with pytest.raises(ValueError):
             gmm_fit(X, k=2)
 
+    def test_overflowing_variance_rejected_at_entry(self, rng):
+        # finite values whose squares overflow; an overflow RuntimeWarning
+        # would fail the test (pyproject's filterwarnings)
+        X = rng.normal(size=(50, 3)) * 1e160
+        with pytest.raises(ValueError, match=r"variance overflows float64 \(largest \|x\| is 2\.\d+e\+160\)"):
+            gmm_fit(X, k=2)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_loglik_trace_nondecreasing(self, seed):
         r = np.random.default_rng(seed)
@@ -238,6 +245,24 @@ class TestParamsChecks:
         arrays[field][-1] = value
         with pytest.raises(ValueError, match="non-finite mixture weights, means or variances"):
             GmmParams(**arrays)
+
+    def test_lists_build_the_array_model(self):
+        lists = {"weights": [0.25, 0.75], "means": [[0, 1], [2, 3]], "variances": [[1, 2], [3, 4]]}
+        from_lists = GmmParams(**lists)
+        from_arrays = GmmParams(**{name: np.array(value, dtype=np.float64) for name, value in lists.items()})
+        for name in lists:
+            a, b = getattr(from_lists, name), getattr(from_arrays, name)
+            assert a.dtype == np.float64 and np.array_equal(a, b)
+        assert to_json(from_lists) == to_json(from_arrays)
+
+    def test_float64_arrays_pass_through(self):
+        arrays = {"weights": np.full(2, 0.5), "means": np.zeros((2, 3)), "variances": np.ones((2, 3))}
+        params = GmmParams(**arrays)
+        assert all(getattr(params, name) is arrays[name] for name in arrays)
+
+    def test_non_numeric_rejected(self):
+        with pytest.raises(ValueError):
+            GmmParams(weights=["half", "half"], means=np.zeros((2, 3)), variances=np.ones((2, 3)))
 
     def test_saved_model_with_wrong_width_means_fails_to_load(self, rng, tmp_path):
         windows = windows_from_arrays(rng.normal(size=(12, 2, 2)), 1 + np.arange(12) % 4)

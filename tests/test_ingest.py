@@ -179,19 +179,19 @@ class TestStandardizer:
     def test_hand_computed_mean_and_std(self):
         # population convention: std of {0, 2} is 1
         ds = dataset_from_arrays([[0.0], [2.0]], [1, 2])
-        stats = fit_standardizer(ds)
+        stats = fit_standardizer([ds])
         assert stats.mean[0] == pytest.approx(1.0)
         assert stats.std[0] == pytest.approx(1.0)
 
     def test_constant_feature_floored(self):
         ds = dataset_from_arrays([[7.0, 1.0], [7.0, 3.0]], [1, 2])
-        stats = fit_standardizer(ds)
+        stats = fit_standardizer([ds])
         assert stats.mean[0] == 7.0
         assert stats.std[0] == 1e-8
 
     def test_identical_frames_floor_everywhere(self):
         ds = dataset_from_arrays([[1.0, 2.0], [1.0, 2.0]], [1, 1])
-        stats = fit_standardizer(ds)
+        stats = fit_standardizer([ds])
         assert np.all(stats.std == 1e-8)
 
     def test_empty_errors(self):
@@ -200,7 +200,7 @@ class TestStandardizer:
 
     def test_self_standardization(self, rng):
         ds = dataset_from_arrays(rng.normal(3.0, 2.0, size=(200, 4)), rng.integers(1, 5, 200))
-        out = apply_standardizer(ds, fit_standardizer(ds))
+        out = apply_standardizer(ds, fit_standardizer([ds]))
         Z = out.feature_matrix
         assert np.abs(Z.mean(axis=0)).max() < 1e-9
         assert np.abs(Z.std(axis=0) - 1.0).max() < 1e-6
@@ -213,7 +213,7 @@ class TestStandardizer:
     def test_frame_at_source_mean_maps_to_zero(self, rng):
         X = rng.normal(5.0, 1.5, size=(50, 3))
         ds = dataset_from_arrays(X, rng.integers(1, 5, 50))
-        stats = fit_standardizer(ds)
+        stats = fit_standardizer([ds])
         target = dataset_from_arrays([stats.mean], [4])
         out = apply_standardizer(target, stats)
         assert np.abs(out.feature_matrix[0]).max() < 1e-12
@@ -479,7 +479,7 @@ class TestIngestProperties:
         constant = np.array(data.draw(st.lists(st.booleans(), min_size=d, max_size=d)))
         F[:, constant] = F[0, constant]
         ds = dataset_from_arrays(F, np.ones(n))
-        stats = fit_standardizer(ds)
+        stats = fit_standardizer([ds])
         assert np.all(stats.std[constant] == STD_FLOOR)
         recovered = apply_standardizer(ds, stats).feature_matrix * stats.std + stats.mean
         tol = 4 * np.finfo(np.float64).eps * (np.abs(F) + np.abs(stats.mean)) + 1e-300

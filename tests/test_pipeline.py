@@ -110,6 +110,11 @@ class TestFitSource:
         with pytest.raises(ValueError, match="cluster 1"):
             fit(ws, ws[::3], k=2, config=FAST)
 
+    def test_fewer_source_windows_than_k_is_an_error(self, rng):
+        ws = two_cluster_windows(rng, n_per=1)  # 2 windows
+        with pytest.raises(ValueError, match="need at least k=3 points, got 2"):
+            fit(ws, ws, k=3, config=FAST)
+
     def test_histogram_total_equals_cluster_size(self, rng):
         ws = two_cluster_windows(rng)
         experts = fit(ws, ws[::10], k=2, config=FAST).experts
@@ -464,6 +469,18 @@ class TestFitSelected:
         monkeypatch.setattr(pipeline_mod, "gmm_assign", run_2_collapses)
         with pytest.raises(ValueError, match="cluster 1 received no source windows"):
             fit_selected(ws, shots, [pool], k=2, runs=4, evals=2, config=FAST, eval_mode=eval_mode)
+
+    @pytest.mark.parametrize("n_pools, message", [(0, "need at least one test pool"), (3, "test pool 1 is empty")])
+    def test_empty_test_pool_fails_before_any_fit(self, rng, monkeypatch, n_pools, message):
+        ws, shots, pool = self.setup_problem(rng, n_per=10)
+        pools = [pool, pool[:0], pool][:n_pools]
+
+        def not_reached(*args):
+            raise AssertionError("_fit_many reached")
+
+        monkeypatch.setattr(pipeline_mod, "_fit_many", not_reached)
+        with pytest.raises(ValueError, match=message):
+            fit_selected(ws, shots, pools, k=2, runs=2, evals=1, config=FAST)
 
     def test_window_sets_and_lists_give_the_same_protocol(self, rng):
         ws, shots, pool = self.setup_problem(rng, n_per=15)

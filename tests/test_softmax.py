@@ -3,7 +3,7 @@ import pytest
 
 from noseda.nets import softmax_train
 from noseda.nets.common import log_softmax, softmax
-from noseda.nets.softmax_regression import ARMIJO_C, MIN_STEP, softmax_predict_proba
+from noseda.nets.softmax_regression import ARMIJO_C, MIN_STEP, SoftmaxRegressionParams, softmax_predict_proba
 
 
 class TestTrain:
@@ -106,3 +106,15 @@ class TestMatchesTwoEvaluationLoop:
         assert np.array_equal(params.weights, w) and np.array_equal(params.bias, b)
         if scale > 1.0:
             assert len(trace) == 3
+
+
+class TestParams:
+    def test_lists_build_the_array_params(self):
+        from_lists = SoftmaxRegressionParams(weights=[[0.0, 1.0]], bias=[0])
+        from_arrays = SoftmaxRegressionParams(weights=np.array([[0.0, 1.0]]), bias=np.array([0.0]))
+        for a, b in zip(from_lists.arrays(), from_arrays.arrays()):
+            assert a.dtype == np.float64 and np.array_equal(a, b)
+
+    def test_non_numbers_rejected(self):
+        with pytest.raises(ValueError):
+            SoftmaxRegressionParams(weights=[["w", "x"]], bias=[0.0])
