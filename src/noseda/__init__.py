@@ -61,7 +61,6 @@ from .nets import (
 )
 from .pipeline import (
     ClusterExpert,
-    GateModel,
     HierarchicalModel,
     SelectionReport,
     adapt_experts,

@@ -102,11 +102,14 @@ class SyntheticDomainSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("class_means", "class_scales", "source_priors", "target_priors", "shift", "subgroup_direction"):
+            if getattr(self, name) is not None:  # a float64 array passes as is
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         for name in ("source_priors", "target_priors"):
             pr = getattr(self, name)
             if pr.shape != (4,) or abs(float(pr.sum()) - 1.0) > 1e-9 or np.any(pr < 0):
                 raise ValueError(f"{name} must be a 4-simplex")
-        if self.class_means.shape[0] != 4 or self.class_scales.shape != (4,):
+        if self.class_means.ndim != 2 or self.class_means.shape[0] != 4 or self.class_scales.shape != (4,):
             raise ValueError("need per-class means (4, d) and scales (4,)")
         if np.any(self.class_scales <= 0):
             raise ValueError("class scales must be positive")
@@ -143,20 +146,11 @@ class SyntheticDomainSpec:
         return self.class_means.shape[1]
 
     @classmethod
-    def create(
-        cls,
-        class_means,
-        class_scales,
-        source_priors,
-        target_priors,
-        shift=0.0,
-        **kwargs,
-    ) -> "SyntheticDomainSpec":
-        """Array-coercing constructor; a scalar ``shift`` broadcasts over features."""
-        class_means = np.asarray(class_means, dtype=np.float64)
-        shift = np.asarray(shift, dtype=np.float64)
-        if shift.ndim == 0:
-            shift = np.full(class_means.shape[1], float(shift))
+    def create(cls, class_means, shift=0.0, **kwargs) -> "SyntheticDomainSpec":
+        """A scalar ``shift`` broadcasts over features, the permutations become
+        tuples and ``subgroup_direction`` is scaled to unit length."""
+        if np.ndim(shift) == 0:
+            shift = np.full(np.shape(class_means)[1], float(shift))
         perms = kwargs.pop("subgroup_label_permutations", None)
         if perms is not None:
             perms = tuple(tuple(int(i) for i in p) for p in perms)
@@ -166,16 +160,8 @@ class SyntheticDomainSpec:
             norm = np.linalg.norm(direction)
             if 0 < norm < np.inf:  # anything else fails the unit-norm check
                 direction = direction / norm
-        return cls(
-            subgroup_direction=direction,
-            class_means=class_means,
-            class_scales=np.asarray(class_scales, dtype=np.float64),
-            source_priors=np.asarray(source_priors, dtype=np.float64),
-            target_priors=np.asarray(target_priors, dtype=np.float64),
-            shift=shift,
-            subgroup_label_permutations=perms,
-            **kwargs,
-        )
+        kwargs.update(subgroup_direction=direction, subgroup_label_permutations=perms)
+        return cls(class_means=class_means, shift=shift, **kwargs)
 
 
 def _generate_domain(spec: SyntheticDomainSpec, name: str, priors, length, subgroups, shifted, rng):

@@ -78,15 +78,25 @@ def gmm_log_likelihood(params: GmmParams, X: np.ndarray) -> float:
     return float(_logsumexp_rows(_log_joint(params, X)).sum())
 
 
+def _squared_distances(X: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared distance of every row of X to x.  On wide input the sum over
+    the features can overflow while each feature's variance is finite."""
+    with np.errstate(over="ignore"):
+        d2 = ((X - x) ** 2).sum(axis=1)
+    if not np.all(np.isfinite(d2)):
+        raise ValueError(f"squared distances overflow float64 (largest |x| is {np.abs(X).max():.3g}); rescale it")
+    return d2
+
+
 def _farthest_point_means(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     # First center random, each next one maximizes min distance to the chosen set.
     first = int(rng.integers(X.shape[0]))
     chosen = [first]
-    d2 = ((X - X[first]) ** 2).sum(axis=1)
+    d2 = _squared_distances(X, X[first])
     for _ in range(1, k):
         j = int(np.argmax(d2))
         chosen.append(j)
-        d2 = np.minimum(d2, ((X - X[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _squared_distances(X, X[j]))
     return X[chosen].copy()
 
 

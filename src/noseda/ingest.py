@@ -173,6 +173,8 @@ class StandardizationStats:
     std: np.ndarray
 
     def __post_init__(self):
+        for name in ("mean", "std"):  # a float64 array passes as is
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if not np.all(np.isfinite(self.mean)):
             raise ValueError("standardization mean must be finite")
         if not np.all(np.isfinite(self.std)) or np.any(self.std <= 0):

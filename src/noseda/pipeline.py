@@ -56,19 +56,10 @@ class ClusterExpert:
 
 
 @dataclass(frozen=True)
-class GateModel:
-    params: SoftmaxRegressionParams
-    n_clusters: int
-
-    def predict_proba(self, flats: np.ndarray) -> np.ndarray:
-        return softmax_predict_proba(self.params, flats)
-
-
-@dataclass(frozen=True)
 class HierarchicalModel:
     gmm: GmmParams
     experts: tuple[ClusterExpert, ...]
-    gate: GateModel
+    gate: SoftmaxRegressionParams  # flattened window -> cluster id router
     stats: StandardizationStats
     shot_assignments: tuple[int, ...]  # cluster id per shot, in shot order
     fit_seed: int | None = None
@@ -79,17 +70,14 @@ class HierarchicalModel:
         k = self.gmm.k
         if len(self.experts) != k:
             raise ValueError(f"{len(self.experts)} experts for a {k}-component mixture")
-        if self.gate.n_clusters != k or self.gate.params.n_classes != k:
-            raise ValueError(
-                f"gate has n_clusters={self.gate.n_clusters} and {self.gate.params.n_classes} classes"
-                f" for a {k}-component mixture"
-            )
+        if self.gate.n_classes != k:
+            raise ValueError(f"gate has {self.gate.n_classes} classes for a {k}-component mixture")
         ids = [e.cluster_id for e in self.experts]
         if ids != list(range(k)):
             raise ValueError(f"expert cluster ids must be 0..{k - 1} in order, got {ids}")
         p = self.gmm.p
-        if self.gate.params.input_dim != p:
-            raise ValueError(f"gate input is {self.gate.params.input_dim}-dimensional, mixture is {p}-dimensional")
+        if self.gate.input_dim != p:
+            raise ValueError(f"gate input is {self.gate.input_dim}-dimensional, mixture is {p}-dimensional")
         for e in self.experts:
             for name, net in (("expert_before", e.expert_before), ("expert_after", e.expert_after)):
                 if net is not None and 2 * net.input_dim != p:
@@ -176,7 +164,7 @@ def adapt_experts(
     return [replace(e, expert_after=net) for e, net in zip(experts, networks)]
 
 
-def fit_gate(shots: Windows, assignments: Sequence[int], n_clusters: int, l2: float = 1e-4) -> GateModel:
+def fit_gate(shots: Windows, assignments: Sequence[int], n_clusters: int, l2: float = 1e-4) -> SoftmaxRegressionParams:
     """Train the shot-features -> cluster-id router: ``softmax_train`` with
     its default iteration cap and its tolerance ``softmax_regression.TOL``.
 
@@ -190,9 +178,8 @@ def fit_gate(shots: Windows, assignments: Sequence[int], n_clusters: int, l2: fl
         c = distinct.pop()
         bias = np.full(n_clusters, _CONSTANT_GATE_LOGIT)
         bias[c] = 0.0
-        params = SoftmaxRegressionParams(weights=np.zeros((n_clusters, flats.shape[1])), bias=bias)
-        return GateModel(params=params, n_clusters=n_clusters)
-    return GateModel(params=softmax_train(flats, y, n_clusters, l2=l2), n_clusters=n_clusters)
+        return SoftmaxRegressionParams(weights=np.zeros((n_clusters, flats.shape[1])), bias=bias)
+    return softmax_train(flats, y, n_clusters, l2=l2)
 
 
 def _fit_staged(
@@ -376,7 +363,7 @@ def predict_batch(model: HierarchicalModel, X: np.ndarray) -> np.ndarray:
     out = np.empty(X.shape[0], dtype=np.int64)
     if X.shape[0] == 0:
         return out
-    clusters = np.argmax(model.gate.predict_proba(X.reshape(X.shape[0], -1)), axis=1)
+    clusters = np.argmax(softmax_predict_proba(model.gate, X.reshape(X.shape[0], -1)), axis=1)
     for c in np.unique(clusters):
         idx = np.flatnonzero(clusters == c)
         expert = model.experts[int(c)].expert_after

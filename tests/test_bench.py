@@ -206,6 +206,46 @@ class TestSynthesizeDomains:
         assert np.array_equal(loaded.feature_matrix, source.feature_matrix)
         assert np.array_equal(loaded.labels, source.labels)
 
+    LIST_SPEC = dict(
+        class_means=[[0, 0], [3, 0], [6, 0], [9, 0]], class_scales=[1] * 4, source_priors=[0.25] * 4,
+        target_priors=[0.4, 0.3, 0.2, 0.1], shift=[0.3, 0], subgroup_direction=[0, 1], source_subgroups=2,
+        subgroup_separation=1.5, source_length=60, target_length=40,
+    )
+
+    def test_lists_build_the_array_spec(self, tmp_path):
+        from_lists = SyntheticDomainSpec(**self.LIST_SPEC)
+        arrays = {k: np.array(v, dtype=np.float64) if isinstance(v, list) else v for k, v in self.LIST_SPEC.items()}
+        from_arrays = SyntheticDomainSpec(**arrays)
+        for name in ("class_means", "class_scales", "source_priors", "target_priors", "shift", "subgroup_direction"):
+            a, b = getattr(from_lists, name), getattr(from_arrays, name)
+            assert a.dtype == np.float64 and np.array_equal(a, b)
+        assert to_json(from_lists) == to_json(from_arrays)
+        for spec, out in ((from_lists, tmp_path / "lists"), (from_arrays, tmp_path / "arrays")):
+            out.mkdir()
+            for ds, name in zip(synthesize_domains(spec), ("source.csv", "target.csv")):
+                write_dataset_csv(ds, out / name)
+        for name in ("source.csv", "target.csv"):
+            assert (tmp_path / "lists" / name).read_bytes() == (tmp_path / "arrays" / name).read_bytes()
+
+    def test_float64_arrays_pass_through(self):
+        spec = simple_spec()
+        clone = dataclasses.replace(spec, seed=1)
+        for name in ("class_means", "class_scales", "source_priors", "target_priors", "shift"):
+            assert getattr(clone, name) is getattr(spec, name)
+
+    @pytest.mark.parametrize("field", ["class_means", "class_scales", "shift", "subgroup_direction"])
+    def test_non_numeric_spec_rejected(self, field):
+        spec = dict(self.LIST_SPEC)
+        spec[field] = np.full(np.shape(spec[field]), "x").tolist()
+        with pytest.raises(ValueError):
+            SyntheticDomainSpec(**spec)
+
+    def test_one_dimensional_means_rejected(self):
+        # they used to pass the (4, d) check and fail on a bare IndexError
+        spec = dict(self.LIST_SPEC, class_means=[0, 3, 6, 9], shift=[0.3])
+        with pytest.raises(ValueError, match=re.escape("need per-class means (4, d) and scales (4,)")):
+            SyntheticDomainSpec(**spec)
+
     def test_spec_json_round_trip(self):
         spec = simple_spec(
             source_subgroups=2, subgroup_separation=3.0,

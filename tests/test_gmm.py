@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+import noseda.gmm as gmm_mod
 from noseda.gmm import GmmParams, gmm_assign, gmm_fit, gmm_log_likelihood
 from noseda.nets import TrainConfig
 from noseda.pipeline import fit, load_model, save_model
@@ -66,6 +67,18 @@ class TestFit:
         X = rng.normal(size=(50, 3)) * 1e160
         with pytest.raises(ValueError, match=r"variance overflows float64 \(largest \|x\| is 2\.\d+e\+160\)"):
             gmm_fit(X, k=2)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_overflowing_distances_rejected_at_entry(self, rng, monkeypatch, k):
+        # wide input: every feature's variance is finite, but the squared
+        # distances summed over 200 features overflow; no EM step may run
+        X = rng.normal(size=(4, 200)) * 1e153
+        assert np.all(np.isfinite(X.var(axis=0)))
+        monkeypatch.setattr(gmm_mod, "_log_joint", lambda *args: pytest.fail("EM ran"))
+        message = r"squared distances overflow float64 \(largest \|x\| is \d\.\d+e\+153\); rescale it"
+        with pytest.raises(ValueError, match=message):
+            gmm_fit(X, k=k)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_loglik_trace_nondecreasing(self, seed):

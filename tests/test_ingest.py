@@ -238,6 +238,21 @@ class TestStandardizer:
         with pytest.raises(ValueError):
             apply_standardizer(ds, StandardizationStats.identity(3))
 
+    def test_lists_build_the_array_stats(self):
+        from_lists = StandardizationStats(mean=[0, 1], std=[1.0, 2])
+        from_arrays = StandardizationStats(mean=np.array([0.0, 1.0]), std=np.array([1.0, 2.0]))
+        for a, b in ((from_lists.mean, from_arrays.mean), (from_lists.std, from_arrays.std)):
+            assert a.dtype == np.float64 and np.array_equal(a, b)
+
+    def test_float64_arrays_pass_through(self):
+        mean, std = np.zeros(3), np.ones(3)
+        stats = StandardizationStats(mean=mean, std=std)
+        assert stats.mean is mean and stats.std is std
+
+    def test_non_numeric_stats_rejected(self):
+        with pytest.raises(ValueError):
+            StandardizationStats(mean=["zero", "one"], std=[1.0, 1.0])
+
 
 class TestMakeWindows:
     def test_two_frames_one_window(self):

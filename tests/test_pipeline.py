@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import noseda.pipeline as pipeline_mod
 from noseda.gmm import GmmParams, gmm_assign, gmm_fit
 from noseda.ingest import StandardizationStats, WindowSample, as_window_set, flatten_windows, stack_windows
 from noseda.nets import TrainConfig, lstm_train
 from noseda.nets.lstm import LstmParams, lstm_predict, lstm_predict_proba
+from noseda.nets.softmax_regression import SoftmaxRegressionParams, softmax_predict_proba
 from noseda.pipeline import (
     ClusterExpert,
     HierarchicalModel,
@@ -269,7 +271,7 @@ class TestGate:
     def test_single_cluster_constant_gate(self, rng):
         shots = [window(rng.normal(size=(2, 2)), 1 + i % 4) for i in range(16)]
         gate = fit_gate(shots, [1] * 16, n_clusters=2)
-        probs = gate.predict_proba(rng.normal(size=(50, 4)))
+        probs = softmax_predict_proba(gate, rng.normal(size=(50, 4)))
         assert np.all(np.argmax(probs, axis=1) == 1)
         assert np.allclose(probs[:, 1], 1.0)
 
@@ -278,13 +280,13 @@ class TestGate:
         shots += [window(rng.normal(size=(2, 2)) + 4.0, 2) for _ in range(8)]
         assignments = [0] * 8 + [1] * 8
         gate = fit_gate(shots, assignments, n_clusters=2)
-        got = np.argmax(gate.predict_proba(flatten_windows(shots)), axis=1)
+        got = np.argmax(softmax_predict_proba(gate, flatten_windows(shots)), axis=1)
         assert got.tolist() == assignments
 
     def test_output_dimension_is_cluster_count(self, rng):
         shots = [window(rng.normal(size=(2, 3)), 1) for _ in range(6)]
         gate = fit_gate(shots, [0, 1, 2, 0, 1, 2], n_clusters=5)
-        assert gate.predict_proba(flatten_windows(shots)).shape == (6, 5)
+        assert softmax_predict_proba(gate, flatten_windows(shots)).shape == (6, 5)
 
     def test_no_shots_rejected(self):
         with pytest.raises(ValueError):
@@ -324,13 +326,8 @@ class TestPredict:
         k = len(experts)
         bias = np.full(k, -1e3)
         bias[to_cluster] = 0.0
-        from noseda.nets.softmax_regression import SoftmaxRegressionParams
-        from noseda.pipeline import GateModel
-
         flats_dim = 2 * d
-        gate = GateModel(
-            params=SoftmaxRegressionParams(weights=np.zeros((k, flats_dim)), bias=bias), n_clusters=k
-        )
+        gate = SoftmaxRegressionParams(weights=np.zeros((k, flats_dim)), bias=bias)
         flats = np.zeros((4, flats_dim))
         return HierarchicalModel(
             gmm=GmmParams(
@@ -353,6 +350,42 @@ class TestPredict:
         for target, expected in ((0, 1), (1, 3)):
             model = self.constant_gate_model(experts, to_cluster=target)
             assert predict_batch(model, rng.normal(size=(1, 2, 2))).tolist() == [expected]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_gates_route_like_the_oracle(self, data):
+        # gate entries and windows are halves, so gate logits are exact and a
+        # gate row copied from an earlier one ties with it on every window
+        k, d = data.draw(st.integers(1, 4), label="k"), data.draw(st.integers(1, 3), label="d")
+        halves = st.integers(-4, 4).map(lambda i: i / 2)
+        distinct = data.draw(arrays(np.float64, (k, 2 * d + 1), elements=halves), label="gate rows")
+        rows = distinct[[data.draw(st.integers(0, c), label=f"row of cluster {c}") for c in range(k)]]
+        gate = SoftmaxRegressionParams(weights=rows[:, :-1], bias=rows[:, -1])
+
+        def net(seed):
+            r = np.random.default_rng(seed)
+            return LstmParams(
+                wx=r.normal(size=(d, 16)), wh=r.normal(size=(4, 16)), b=r.normal(size=16),
+                w_out=3.0 * r.normal(size=(4, 4)), b_out=r.normal(size=4),
+            )
+
+        seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=2 * k, max_size=2 * k), label="seeds")
+        experts = tuple(
+            ClusterExpert(c, net(seeds[2 * c]), net(seeds[2 * c + 1]), np.ones(4, dtype=np.int64)) for c in range(k)
+        )
+        model = HierarchicalModel(
+            gmm=GmmParams(weights=np.full(k, 1.0 / k), means=np.zeros((k, 2 * d)), variances=np.ones((k, 2 * d))),
+            experts=experts, gate=gate, stats=StandardizationStats.identity(d), shot_assignments=(),
+        )
+        n = data.draw(st.integers(1, 12), label="n")
+        X = data.draw(arrays(np.float64, (n, 2, d), elements=halves), label="X")
+
+        expected = []
+        for x in X:
+            p = softmax_predict_proba(gate, x.reshape(1, -1))[0]
+            c = min(c for c in range(k) if p[c] == p.max())
+            expected.append(int(lstm_predict(experts[c].expert_after, x[None])[0]))
+        assert predict_batch(model, X).tolist() == expected
 
     def test_prediction_in_label_range(self, rng):
         ws = two_cluster_windows(rng, n_per=20)
@@ -691,6 +724,7 @@ class TestPersistence:
         model = fit(ws, ws[::5], k=2, config=FAST)
         obj = json.loads(model_to_json_bytes(model))
         assert set(obj) == {"gmm", "experts", "gate", "stats", "shot_assignments", "fit_seed"}
+        assert set(obj["gate"]) == {"weights", "bias"}
         assert obj["fit_seed"] == FAST.seed
         assert len(obj["experts"]) == 2
 
@@ -700,10 +734,7 @@ class TestModelConsistency:
     disagree on the cluster count or the window width."""
 
     def model_dict(self, k=2, d=3):
-        from noseda.nets.softmax_regression import SoftmaxRegressionParams
-        from noseda.pipeline import GateModel
-
-        gate = GateModel(params=SoftmaxRegressionParams(weights=np.zeros((k, 2 * d)), bias=np.zeros(k)), n_clusters=k)
+        gate = SoftmaxRegressionParams(weights=np.zeros((k, 2 * d)), bias=np.zeros(k))
         model = HierarchicalModel(
             gmm=GmmParams(weights=np.full(k, 1.0 / k), means=np.zeros((k, 2 * d)), variances=np.ones((k, 2 * d))),
             experts=tuple(bias_expert([0.25] * 4, cluster_id=c, d=d) for c in range(k)),
@@ -721,22 +752,24 @@ class TestModelConsistency:
     def test_unedited_file_loads(self, tmp_path):
         assert len(self.load_edited(tmp_path, self.model_dict()).experts) == 2
 
-    def test_gate_cluster_count(self, tmp_path):
+    def test_gate_with_stored_cluster_count_rejected(self, tmp_path):
+        # the layout that wrapped the gate's weights and bias in "params"
+        # next to a copy of the cluster count
         obj = self.model_dict()
-        obj["gate"]["n_clusters"] = 3
-        with pytest.raises(ValueError, match="n_clusters=3"):
+        obj["gate"] = {"params": obj["gate"], "n_clusters": 2}
+        message = "SoftmaxRegressionParams: unexpected keys ['n_clusters', 'params']"
+        with pytest.raises(ValueError, match=re.escape(message)):
             self.load_edited(tmp_path, obj)
 
     def test_gate_class_count(self, tmp_path):
         obj = self.model_dict()
-        params = self.model_dict(k=3)["gate"]["params"]
-        obj["gate"]["params"] = params
+        obj["gate"] = self.model_dict(k=3)["gate"]
         with pytest.raises(ValueError, match="3 classes for a 2-component mixture"):
             self.load_edited(tmp_path, obj)
 
     def test_gate_input_width(self, tmp_path):
         obj = self.model_dict()
-        obj["gate"]["params"] = self.model_dict(d=2)["gate"]["params"]
+        obj["gate"] = self.model_dict(d=2)["gate"]
         with pytest.raises(ValueError, match="gate input is 4-dimensional, mixture is 6-dimensional"):
             self.load_edited(tmp_path, obj)
 

@@ -20,7 +20,6 @@ from noseda.nets.mlp import mlp_init
 from noseda.nets.softmax_regression import SoftmaxRegressionParams
 from noseda.pipeline import (
     ClusterExpert,
-    GateModel,
     HierarchicalModel,
     SelectionReport,
     load_model,
@@ -103,7 +102,7 @@ def make_model(k=2, d=3):
             weights=np.full(k, 1.0 / k), means=rng.normal(size=(k, 2 * d)), variances=rng.uniform(0.5, 2, (k, 2 * d))
         ),
         experts=experts,
-        gate=GateModel(params=SoftmaxRegressionParams(rng.normal(size=(k, 2 * d)), rng.normal(size=k)), n_clusters=k),
+        gate=SoftmaxRegressionParams(rng.normal(size=(k, 2 * d)), rng.normal(size=k)),
         stats=StandardizationStats(mean=rng.normal(size=d), std=rng.uniform(0.5, 2, d)),
         shot_assignments=tuple(int(c) for c in rng.integers(k, size=8)),
         fit_seed=12,
@@ -123,7 +122,6 @@ def codec_instances():
         model.stats,
         model.experts[0],
         dataclasses.replace(model.experts[1], expert_after=None),
-        model.gate,
         model,
         SelectionReport(
             shot_accuracies=(0.5, 1.0), selected_run=1, eval_accuracies=(0.75,), mean_test_accuracy=0.75,
@@ -179,7 +177,7 @@ def hierarchical_models(draw):
             variances=floats((k, 2 * d), st.floats(VAR_FLOOR, 1e300)),
         ),
         experts=experts,
-        gate=GateModel(params=SoftmaxRegressionParams(floats((k, 2 * d)), floats(k)), n_clusters=k),
+        gate=SoftmaxRegressionParams(floats((k, 2 * d)), floats(k)),
         stats=StandardizationStats(mean=floats(d), std=floats(d, positive)),
         shot_assignments=tuple(draw(st.lists(st.integers(0, k - 1), max_size=8))),
         fit_seed=draw(st.none() | st.integers(0, 2**64 - 1)),
@@ -221,7 +219,8 @@ def test_expert_missing_weights(tmp_path):
 
 def parent_format(obj):
     """A model file as the per-class encoders wrote it: the GMM also stored k,
-    and network arrays were {"shape", "data"} objects."""
+    network arrays were {"shape", "data"} objects, and the gate wrapped its
+    arrays in "params" next to the cluster count."""
     obj["gmm"]["k"] = len(obj["gmm"]["weights"])
 
     def tagged(a):
@@ -231,7 +230,7 @@ def parent_format(obj):
     for e in obj["experts"]:
         for net in ("expert_before", "expert_after"):
             e[net] = {key: tagged(a) for key, a in e[net].items()}
-    obj["gate"]["params"] = {key: tagged(a) for key, a in obj["gate"]["params"].items()}
+    obj["gate"] = {"params": {key: tagged(a) for key, a in obj["gate"].items()}, "n_clusters": len(obj["gate"]["bias"])}
     return obj
 
 
@@ -259,15 +258,18 @@ def test_non_numeric_arrays(value, message):
 
 
 def test_wrong_container_types():
-    with pytest.raises(ValueError, match="GateModel: expected a JSON object, got list"):
-        from_json(GateModel, [])
+    with pytest.raises(ValueError, match="SoftmaxRegressionParams: expected a JSON object, got list"):
+        from_json(SoftmaxRegressionParams, [])
     with pytest.raises(ValueError, match="AdaBoostModel.stumps: expected a list, got dict"):
         from_json(AdaBoostModel, {"stumps": {}, "alphas": [], "classes": [], "stump_errors": []})
 
 
 def test_array_dtypes_follow_the_data():
+    # the codec keeps JSON integers as int64; a class whose fields are float64 converts them itself
+    obj = to_json(make_model().experts[0])
+    assert from_json(ClusterExpert, obj).source_label_histogram.dtype == np.int64
     stats = from_json(StandardizationStats, {"mean": [0, 1], "std": [1.0, 2.0]})
-    assert stats.mean.dtype == np.int64 and stats.std.dtype == np.float64
+    assert stats.mean.dtype == np.float64 and stats.std.dtype == np.float64
 
 
 # -- files written before the codec still load ------------------------------
