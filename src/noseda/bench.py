@@ -103,8 +103,14 @@ class SyntheticDomainSpec:
 
     def __post_init__(self):
         for name in ("class_means", "class_scales", "source_priors", "target_priors", "shift", "subgroup_direction"):
-            if getattr(self, name) is not None:  # a float64 array passes as is
-                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            value = getattr(self, name)
+            if value is not None:
+                value = np.asarray(value, dtype=np.float64)  # a float64 array passes as is
+                object.__setattr__(self, name, value)
+                if not np.all(np.isfinite(value)):
+                    raise ValueError(f"{name} must be finite, got {value.tolist()}")
+        if not np.isfinite(self.subgroup_separation):
+            raise ValueError(f"subgroup_separation must be finite, got {self.subgroup_separation}")
         for name in ("source_priors", "target_priors"):
             pr = getattr(self, name)
             if pr.shape != (4,) or abs(float(pr.sum()) - 1.0) > 1e-9 or np.any(pr < 0):

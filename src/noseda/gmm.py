@@ -57,12 +57,18 @@ class GmmParams:
 def _log_joint(params: GmmParams, X: np.ndarray) -> np.ndarray:
     """(n, k) matrix of log(pi_k) + log N(x_i ; mu_k, diag(var_k))."""
     const = -0.5 * np.log(2.0 * np.pi * params.variances).sum(axis=1)  # (k,)
-    quad = -0.5 * (((X[:, None, :] - params.means) ** 2) / params.variances).sum(axis=2)
+    d = X[:, None, :] - params.means  # (n, k, p), squared and scaled in place
+    np.square(d, out=d)
+    d /= params.variances
+    quad = -0.5 * d.sum(axis=2)
     return np.log(params.weights) + const + quad
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    m = a.max(axis=1)
+    # the row maxima a column at a time, as in ``common.log_softmax``
+    m = a[:, 0]
+    for c in range(1, a.shape[1]):
+        m = np.maximum(m, a[:, c])
     return m + np.log(np.exp(a - m[:, None]).sum(axis=1))
 
 
@@ -119,6 +125,13 @@ def gmm_fit(X: np.ndarray, k: int = 2, seed: int = 0, return_trace: bool = False
         var = X.var(axis=0)
     if not np.all(np.isfinite(var)):
         raise ValueError(f"input variance overflows float64 (largest |x| is {np.abs(X).max():.3g}); rescale it")
+    # the M-step's second moments weigh these squares: a large common offset
+    # overflows them while the variance stays finite
+    with np.errstate(over="ignore"):
+        X2 = X**2
+        finite = np.all(np.isfinite(X2.sum(axis=0)))
+    if not finite:
+        raise ValueError(f"squared inputs overflow float64 (largest |x| is {np.abs(X).max():.3g}); rescale it")
     rng = np.random.default_rng(seed)
 
     means = _farthest_point_means(X, k, rng)
@@ -144,7 +157,7 @@ def gmm_fit(X: np.ndarray, k: int = 2, seed: int = 0, return_trace: bool = False
         new_means = means.copy()
         new_vars = variances.copy()
         new_means[alive] = (resp.T @ X)[alive] / nk[alive, None]
-        ex2 = (resp.T @ (X**2))[alive] / nk[alive, None]
+        ex2 = (resp.T @ X2)[alive] / nk[alive, None]
         new_vars[alive] = np.maximum(ex2 - new_means[alive] ** 2, VAR_FLOOR)
         weights = np.maximum(nk / n, _WEIGHT_FLOOR)
         weights = weights / weights.sum()

@@ -31,7 +31,7 @@ from .gmm import GmmParams, gmm_assign, gmm_fit
 from .ingest import StandardizationStats, Windows, WindowSet, as_window_set
 from .nets.common import TrainConfig, check_labeled
 from .nets.lstm import LstmParams, lstm_predict, lstm_predict_proba, lstm_train_many
-from .nets.softmax_regression import SoftmaxRegressionParams, softmax_predict_proba, softmax_train
+from .nets.softmax_regression import SoftmaxRegressionParams, softmax_predict_proba, softmax_train_many
 from .serialize import from_json, to_json
 
 log = logging.getLogger(__name__)
@@ -164,22 +164,41 @@ def adapt_experts(
     return [replace(e, expert_after=net) for e, net in zip(experts, networks)]
 
 
+def _fit_gates(
+    shots: Windows, routes: Sequence[Sequence[int]], n_clusters: int, l2: float
+) -> list[SoftmaxRegressionParams]:
+    """One gate per route (cluster ids of the shots, in shot order), each
+    checked against the shots first.  A route into a single cluster gets the
+    constant gate for that cluster; all other routes train in one
+    ``softmax_train_many`` call, each bit-identical to its lone run."""
+    flats = as_window_set(shots).flat
+    ys = [check_labeled(flats, route, (None,), n_clusters, 0)[1] for route in routes]
+    gates: list[SoftmaxRegressionParams | None] = [None] * len(ys)
+    trained = []
+    for i, y in enumerate(ys):
+        if np.any(y != y[0]):
+            trained.append(i)
+            continue
+        bias = np.full(n_clusters, _CONSTANT_GATE_LOGIT)
+        bias[y[0]] = 0.0
+        gates[i] = SoftmaxRegressionParams(weights=np.zeros((n_clusters, flats.shape[1])), bias=bias)
+    if trained:
+        params = softmax_train_many(flats, np.stack([ys[i] for i in trained]), n_clusters, l2=l2)
+        for i, gate in zip(trained, params):
+            gates[i] = gate
+    return gates
+
+
 def fit_gate(shots: Windows, assignments: Sequence[int], n_clusters: int, l2: float = 1e-4) -> SoftmaxRegressionParams:
-    """Train the shot-features -> cluster-id router: ``softmax_train`` with
-    its default iteration cap and its tolerance ``softmax_regression.TOL``.
+    """Train the shot-features -> cluster-id router: the one-route case of
+    ``_fit_gates``, with ``softmax_train_many``'s default iteration cap and
+    the tolerance ``softmax_regression.TOL``.
 
     The shots and their cluster ids (0..n_clusters - 1) are checked first.
     When every shot lands in one cluster the gate degenerates to a constant
     classifier for that cluster.
     """
-    flats, y = check_labeled(as_window_set(shots).flat, assignments, (None,), n_clusters, 0)
-    distinct = set(y.tolist())
-    if len(distinct) == 1:
-        c = distinct.pop()
-        bias = np.full(n_clusters, _CONSTANT_GATE_LOGIT)
-        bias[c] = 0.0
-        return SoftmaxRegressionParams(weights=np.zeros((n_clusters, flats.shape[1])), bias=bias)
-    return softmax_train(flats, y, n_clusters, l2=l2)
+    return _fit_gates(shots, [assignments], n_clusters, l2)[0]
 
 
 def _fit_staged(
@@ -192,8 +211,9 @@ def _fit_staged(
 ) -> list[HierarchicalModel]:
     """``fit`` once per config, stage by stage across the configs.
 
-    GMM, routing and gate run per config; the source experts of all configs
-    train in one ``lstm_train_many`` call, and so do the adapted experts.
+    GMM and routing run per config; the source experts of all configs train
+    in one ``lstm_train_many`` call, the gates in one ``softmax_train_many``
+    call, and the adapted experts in one more ``lstm_train_many`` call.
     Between the stages a cluster is an index array, never a copy of its
     windows.  Each model is bit-identical to what a lone fit with its config
     would build.
@@ -215,10 +235,8 @@ def _fit_staged(
         ]
         for run_members, nets in zip(members, networks)
     ]
-    routes, gates = [], []
-    for run_experts in experts:
-        routes.append(route_few_shot(run_experts, shots))
-        gates.append(fit_gate(shots, routes[-1], k, l2=gate_l2))
+    routes = [route_few_shot(run_experts, shots) for run_experts in experts]
+    gates = _fit_gates(shots, routes, k, gate_l2)
     sets = [
         [(c, _adaptation_set(idx, n, route, c)) for c, idx in enumerate(run_members)]
         for run_members, route in zip(members, routes)

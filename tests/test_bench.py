@@ -240,6 +240,31 @@ class TestSynthesizeDomains:
         with pytest.raises(ValueError):
             SyntheticDomainSpec(**spec)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "field, position",
+        [
+            ("class_means", (1, 0)), ("class_scales", (2,)), ("source_priors", (0,)), ("target_priors", (3,)),
+            ("shift", (1,)), ("subgroup_direction", (0,)), ("subgroup_separation", None),
+        ],
+    )
+    def test_non_finite_spec_rejected(self, field, position, bad):
+        # NaN priors passed the simplex check and NaN means reached the CSV
+        spec = {k: np.array(v, dtype=np.float64) if isinstance(v, list) else v for k, v in self.LIST_SPEC.items()}
+        if position is None:
+            spec[field] = bad
+        else:
+            spec[field][position] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+            SyntheticDomainSpec(**spec)
+
+    def test_one_nan_class_mean_rejected(self):
+        means = np.zeros((4, 2))
+        means[2, 1] = np.nan
+        message = "class_means must be finite, got [[0.0, 0.0], [0.0, 0.0], [0.0, nan]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simple_spec(class_means=means)
+
     def test_one_dimensional_means_rejected(self):
         # they used to pass the (4, d) check and fail on a bare IndexError
         spec = dict(self.LIST_SPEC, class_means=[0, 3, 6, 9], shift=[0.3])

@@ -189,3 +189,13 @@ def test_synth_rejects_zero_subgroup_direction(tmp_path, capsys):
     assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "data")]) == 1
     assert "noseda: error: subgroup_direction must be a unit vector" in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
+
+
+def test_synth_rejects_non_finite_class_means(tmp_path, capsys):
+    spec = spec_dict()
+    spec["class_means"][1][0] = float("nan")
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))  # written as NaN, which json reads back
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "data")]) == 1
+    assert "noseda: error: class_means must be finite, got [[0.0, 0.0], [nan, 0.0]" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()

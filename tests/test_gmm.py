@@ -80,6 +80,27 @@ class TestFit:
         with pytest.raises(ValueError, match=message):
             gmm_fit(X, k=k)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_overflowing_squares_rejected_at_entry(self, rng, monkeypatch, k):
+        # a large common offset: the variance and the squared distances are
+        # those of the N(0, 1) noise, but the M-step's squares overflow
+        X = 1.5e154 + rng.normal(size=(50, 3))
+        assert np.all(np.isfinite(X.var(axis=0)))
+        monkeypatch.setattr(gmm_mod, "_log_joint", lambda *args: pytest.fail("EM ran"))
+        message = r"squared inputs overflow float64 \(largest \|x\| is 1\.5e\+154\); rescale it"
+        with pytest.raises(ValueError, match=message):
+            gmm_fit(X, k=k)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_square_sums_rejected_at_entry(self, monkeypatch):
+        # every square is finite, but a column's sum over the points is not
+        X = np.tile([[1e154], [1.1e154]], (10, 1))
+        assert np.all(np.isfinite(X**2))
+        monkeypatch.setattr(gmm_mod, "_log_joint", lambda *args: pytest.fail("EM ran"))
+        with pytest.raises(ValueError, match=r"squared inputs overflow float64 .*; rescale it"):
+            gmm_fit(X, k=2)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_loglik_trace_nondecreasing(self, seed):
         r = np.random.default_rng(seed)

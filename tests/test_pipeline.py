@@ -321,6 +321,38 @@ class TestGate:
             fit_gate(shots, [2] * 8, n_clusters=2)
 
 
+class TestGatesInLockstep:
+    def test_each_gate_is_its_lone_fit(self, rng):
+        shots = windows_from_arrays(rng.normal(size=(16, 2, 3)), 1 + np.arange(16) % 4)
+        routes = [[i % 2 for i in range(16)], [1] * 16, [int(i < 5) for i in range(16)], [2 - i % 3 for i in range(16)]]
+        gates = pipeline_mod._fit_gates(shots, routes, 3, 1e-4)
+        assert [model_to_json_bytes(g) for g in gates] == [model_to_json_bytes(fit_gate(shots, r, 3)) for r in routes]
+
+    def test_every_route_is_checked(self, rng):
+        shots = windows_from_arrays(rng.normal(size=(8, 2, 2)), 1 + np.arange(8) % 4)
+        # the second route would build a constant gate
+        with pytest.raises(ValueError, match=re.escape("labels must lie in 0..1, got range [2, 2]")):
+            pipeline_mod._fit_gates(shots, [[0, 1] * 4, [2] * 8], 2, 1e-4)
+
+    @pytest.mark.parametrize("shots_from", ["both clusters", "one cluster"])
+    def test_one_lockstep_call_per_chunk(self, rng, monkeypatch, shots_from):
+        source = two_cluster_windows(rng, n_per=30)
+        target = two_cluster_windows(np.random.default_rng(9), n_per=10)
+        shots = target[::3] if shots_from == "both clusters" else [w for w in target if w.y <= 2][::2]
+        calls, real = [], pipeline_mod.softmax_train_many
+
+        def recording(X, labels, *args, **kwargs):
+            calls.append(len(labels))
+            return real(X, labels, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "softmax_train_many", recording)
+        configs = [replace(FAST, epochs=2, seed=s) for s in range(4)]
+        models = pipeline_mod._fit_staged(as_window_set(source), as_window_set(shots), 2, configs, None, 1e-4)
+        trained = sum(len(set(m.shot_assignments)) > 1 for m in models)
+        assert calls == ([trained] if trained else [])
+        assert trained == (4 if shots_from == "both clusters" else 0)
+
+
 class TestPredict:
     def constant_gate_model(self, experts, to_cluster, d=2):
         k = len(experts)

@@ -1,9 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from noseda.nets import softmax_train
 from noseda.nets.common import log_softmax, softmax
-from noseda.nets.softmax_regression import ARMIJO_C, MIN_STEP, SoftmaxRegressionParams, softmax_predict_proba
+from noseda.nets.softmax_regression import (
+    ARMIJO_C,
+    MIN_STEP,
+    TOL,
+    SoftmaxRegressionParams,
+    softmax_loss_grad,
+    softmax_predict_proba,
+    softmax_train_many,
+)
 
 
 class TestTrain:
@@ -106,6 +117,68 @@ class TestMatchesTwoEvaluationLoop:
         assert np.array_equal(params.weights, w) and np.array_equal(params.bias, b)
         if scale > 1.0:
             assert len(trace) == 3
+
+
+def stop_reason(X, y, n_classes, l2, max_iter):
+    """Why the lone run on ``y`` stopped: "max_iter", "tol" or "stall"."""
+    params, trace = softmax_train(X, y, n_classes, l2=l2, max_iter=max_iter, return_trace=True)
+    if len(trace) == max_iter + 1:
+        return "max_iter"
+    _, (gw, gb) = softmax_loss_grad(params, X, y, l2)
+    return "tol" if np.sqrt((gw**2).sum() + (gb**2).sum()) < TOL else "stall"
+
+
+@st.composite
+def label_stacks(draw):
+    """(X, an (M, n) label stack, class count, l2, max_iter) over a range of
+    input scales, from well-conditioned to a line search that stalls."""
+    M, n, d = draw(st.integers(1, 5)), draw(st.integers(1, 16)), draw(st.integers(1, 5))
+    n_classes = draw(st.integers(2, 4))
+    scale = draw(st.sampled_from([1.0, 30.0, 2.5e6]))
+    X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, d)) * scale
+    labels = draw(arrays(np.int64, (M, n), elements=st.integers(0, n_classes - 1)))
+    return X, labels, n_classes, draw(st.sampled_from([0.0, 1e-4, 1e-2, 1.0])), draw(st.integers(0, 60))
+
+
+# a stack whose rows stop for all three reasons (see test_stack_mixes_every_stop)
+MIXED_X = np.random.default_rng(2).normal(size=(7, 3)) * 2.5e6
+MIXED_LABELS = np.random.default_rng(3).integers(0, 2, size=(6, 7))
+# TestMatchesTwoEvaluationLoop's huge inputs, twice: both stall after two steps
+STALLED_X = np.random.default_rng(1).normal(size=(8, 2)) * 2.5e6
+STALLED_LABELS = np.array([np.arange(8) % 2] * 2)
+
+
+class TestTrainMany:
+    """Every slice of a lockstep stack is its model's lone run."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(label_stacks())
+    @example((MIXED_X, MIXED_LABELS, 2, 1e-4, 40))
+    @example((STALLED_X, STALLED_LABELS, 2, 1e-4, 500))
+    def test_every_slice_is_the_lone_run(self, stack):
+        X, labels, n_classes, l2, max_iter = stack
+        params, traces = softmax_train_many(X, labels, n_classes, l2=l2, max_iter=max_iter, return_trace=True)
+        assert len(params) == len(traces) == len(labels)
+        for y, got, trace in zip(labels, params, traces):
+            lone, lone_trace = softmax_train(X, y, n_classes, l2=l2, max_iter=max_iter, return_trace=True)
+            w, b, ref_trace = two_evaluation_train(X, y, n_classes, l2, max_iter)
+            assert trace == lone_trace == ref_trace
+            assert np.array_equal(got.weights, lone.weights) and np.array_equal(got.weights, w)
+            assert np.array_equal(got.bias, lone.bias) and np.array_equal(got.bias, b)
+
+    def test_stack_mixes_every_stop(self):
+        # the first @example above: its rows leave the stack at different
+        # iterations, through a vanishing gradient, a stall and max_iter
+        reasons = [stop_reason(MIXED_X, y, 2, 1e-4, 40) for y in MIXED_LABELS]
+        assert set(reasons) == {"tol", "stall", "max_iter"}
+
+    def test_no_label_sets_rejected(self):
+        with pytest.raises(ValueError, match="need at least one set of labels"):
+            softmax_train_many(np.zeros((3, 2)), np.zeros((0, 3), dtype=int), 2)
+
+    def test_every_row_is_checked(self):
+        with pytest.raises(ValueError, match=r"labels must lie in 0\.\.1, got range \[0, 2\]"):
+            softmax_train_many(np.zeros((3, 2)), np.array([[0, 1, 0], [0, 1, 2]]), 2)
 
 
 class TestParams:
