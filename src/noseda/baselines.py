@@ -20,7 +20,6 @@ from .nets.common import N_CLASSES, check_inputs, check_labeled
 log = logging.getLogger(__name__)
 
 _EPS_ERR = 1e-16
-_PAIRWISE_BLOCK = 512  # pool rows per distance block in _min_pairwise
 
 
 @dataclass(frozen=True)
@@ -168,29 +167,32 @@ def nearest_neighbor(pool: np.ndarray, x: np.ndarray) -> tuple[int, float]:
     pool = check_inputs(pool, (None,))
     if len(pool) == 0:
         raise ValueError("empty pool")
-    return _nearest(pool, check_inputs([x], pool.shape[1:])[0])
-
-
-def _nearest(pool: np.ndarray, x: np.ndarray) -> tuple[int, float]:
-    """``nearest_neighbor`` on a checked pool and vector."""
-    d = np.sqrt(((pool - x) ** 2).sum(axis=1))
+    x = check_inputs([x], pool.shape[1:])[0]
+    with np.errstate(over="ignore"):
+        d = np.sqrt(((pool - x) ** 2).sum(axis=1))
     i = int(np.argmin(d))
-    return i, float(d[i])
+    return i, _no_overflow(float(d[i]), pool, x)
+
+
+def _min_distance(pool: np.ndarray, x: np.ndarray) -> float:
+    """Distance from x to the nearest row of pool: the root of the least squared distance (sqrt is monotone)."""
+    return float(np.sqrt(((pool - x) ** 2).sum(axis=1).min()))
+
+
+def _no_overflow(d: float, *arrays: np.ndarray) -> float:
+    """``d``, a least distance between rows of the finite ``arrays``, unless it overflowed to inf."""
+    if d == np.inf:
+        largest = max(float(np.abs(a).max()) for a in arrays)
+        raise ValueError(f"squared distances overflow float64 (largest |x| is {largest:.3g}); rescale it")
+    return d
 
 
 def _min_pairwise(pool: np.ndarray) -> float:
-    """Minimum pairwise Euclidean distance; +inf for a singleton pool."""
-    m = pool.shape[0]
-    if m < 2:
-        return float("inf")
-    best = float("inf")
-    for start in range(0, m, _PAIRWISE_BLOCK):
-        chunk = pool[start : start + _PAIRWISE_BLOCK]
-        d2 = ((chunk[:, None, :] - pool[None, :, :]) ** 2).sum(axis=2)
-        rows = np.arange(chunk.shape[0])
-        d2[rows, start + rows] = np.inf  # self distances
-        best = min(best, float(np.sqrt(d2.min())))
-    return best
+    """Minimum pairwise Euclidean distance; +inf for fewer than 2 rows."""
+    if len(pool) < 2:
+        return np.inf
+    with np.errstate(over="ignore"):
+        return _no_overflow(min(_min_distance(pool[i + 1 :], pool[i]) for i in range(len(pool) - 1)), pool)
 
 
 @dataclass
@@ -213,9 +215,8 @@ def ss_init(X: np.ndarray, labels: np.ndarray) -> NnSsState:
     missing = [c for c in CLASS_LABELS if not np.any(y == c)]
     if missing:
         raise ValueError(f"source data lacks classes {missing}; all four are required")
-    pools = {c: X[y == c].copy() for c in CLASS_LABELS}
-    deltas = {c: _min_pairwise(pools[c]) for c in CLASS_LABELS}
-    return NnSsState(pools=pools, deltas=deltas, growth={c: 0 for c in CLASS_LABELS})
+    pools = {c: X[y == c] for c in CLASS_LABELS}
+    return NnSsState(pools, {c: _min_pairwise(pool) for c, pool in pools.items()}, dict.fromkeys(CLASS_LABELS, 0))
 
 
 def ss_classify_stream(state: NnSsState, X_test: np.ndarray) -> list[int]:
@@ -225,19 +226,19 @@ def ss_classify_stream(state: NnSsState, X_test: np.ndarray) -> list[int]:
     closest (ties to the lower class id).  When that distance is below the
     winning class's delta, the vector joins the pool and that distance, the
     new member's nearest-neighbour distance, becomes the delta.  Mutates
-    ``state``.  The stream is checked once, against the pools' width.
+    ``state``, but a join replaces the pool array, so callers may share the
+    arrays.  The stream is checked once, against the pools' width.
     """
     X_test = check_inputs(X_test, state.pools[CLASS_LABELS[0]].shape[1:])
     preds: list[int] = []
-    for x in X_test:
-        best_c, best_d = None, None
-        for c in CLASS_LABELS:
-            _, d = _nearest(state.pools[c], x)
-            if best_d is None or d < best_d:
-                best_c, best_d = c, d
-        preds.append(best_c)
-        if best_d < state.deltas[best_c]:
-            state.pools[best_c] = np.vstack([state.pools[best_c], x])
-            state.deltas[best_c] = best_d
-            state.growth[best_c] += 1
+    with np.errstate(over="ignore"):
+        for x in X_test:
+            dists = [_min_distance(state.pools[c], x) for c in CLASS_LABELS]
+            best_d = _no_overflow(min(dists), x, *state.pools.values())
+            best_c = CLASS_LABELS[dists.index(best_d)]
+            preds.append(best_c)
+            if best_d < state.deltas[best_c]:
+                state.pools[best_c] = np.vstack([state.pools[best_c], x])
+                state.deltas[best_c] = best_d
+                state.growth[best_c] += 1
     return preds

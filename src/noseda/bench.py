@@ -387,10 +387,8 @@ def _train_ours(config, source, shots, pools, stats):
 
 
 def _ss_stream(state: baselines.NnSsState, pool: WindowSet) -> list[int]:
-    """Each test file streams through its own copy of the source-only state."""
-    fresh = baselines.NnSsState(
-        pools={c: state.pools[c].copy() for c in state.pools}, deltas=dict(state.deltas), growth=dict(state.growth)
-    )
+    """Each test file streams through its own copy of the source-only state's dicts (a join replaces pool arrays)."""
+    fresh = baselines.NnSsState(dict(state.pools), dict(state.deltas), dict(state.growth))
     return baselines.ss_classify_stream(fresh, pool.flat)
 
 

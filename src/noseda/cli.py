@@ -53,18 +53,18 @@ def _cmd_synth(args) -> int:
 
 def _cmd_report(args) -> int:
     in_dir = Path(args.in_dir)
-    files = sorted(in_dir.glob("*.json"))
-    results = []
-    for f in files:
-        with open(f, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        if "results" in obj:  # a previously merged report; take its entries
-            results.extend(from_json(ExperimentResult, r) for r in obj["results"])
-        else:
-            results.append(from_json(ExperimentResult, obj))
-    if not results:
+    # a merged report (an earlier one, or beef_grid's) repeats its cells: count each (pair, method) once
+    found: dict[tuple[str, str], tuple[ExperimentResult, Path]] = {}
+    for f in sorted(in_dir.glob("*.json")):
+        obj = json.loads(f.read_text(encoding="utf-8"))
+        for entry in obj["results"] if "results" in obj else [obj]:
+            r = from_json(ExperimentResult, entry)
+            first, first_file = found.setdefault((r.pair, r.method), (r, f))
+            if r != first:
+                raise ValueError(f"{first_file} and {f} hold different results for {r.pair} [{r.method}]")
+    if not found:
         raise FileNotFoundError(f"no result .json files in {in_dir}")
-    json_path, table_path = emit_report(results, args.out)
+    json_path, table_path = emit_report([r for r, _ in found.values()], args.out)
     print(f"wrote {json_path} and {table_path}")
     return 0
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets.common import check_inputs
+from .nets.common import check_inputs, row_max
 
 VAR_FLOOR = 1e-6
 _WEIGHT_FLOOR = 1e-12
@@ -65,11 +65,8 @@ def _log_joint(params: GmmParams, X: np.ndarray) -> np.ndarray:
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    # the row maxima a column at a time, as in ``common.log_softmax``
-    m = a[:, 0]
-    for c in range(1, a.shape[1]):
-        m = np.maximum(m, a[:, c])
-    return m + np.log(np.exp(a - m[:, None]).sum(axis=1))
+    m = row_max(a)
+    return m[:, 0] + np.log(np.exp(a - m).sum(axis=1))
 
 
 def gmm_assign(params: GmmParams, X: np.ndarray) -> np.ndarray:

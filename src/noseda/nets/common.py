@@ -99,13 +99,16 @@ def sigmoid(z):
     return np.divide(1.0, out, out=out)
 
 
+def row_max(a: np.ndarray) -> np.ndarray:
+    """The (..., 1) maxima of a's last axis, a column at a time (a max over a short axis loops per row)."""
+    m = a[..., :1]
+    for c in range(1, a.shape[-1]):
+        m = np.maximum(m, a[..., c : c + 1])
+    return m
+
+
 def log_softmax(z: np.ndarray) -> np.ndarray:
-    # the row maxima a column at a time: a max over a short last axis loops
-    # once per row and costs several times more
-    m = z[..., :1]
-    for c in range(1, z.shape[-1]):
-        m = np.maximum(m, z[..., c : c + 1])
-    zm = z - m
+    zm = z - row_max(z)
     zm -= np.log(np.exp(zm).sum(axis=-1, keepdims=True))
     return zm
 

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from noseda.baselines import (
     AdaBoostModel,
     Stump,
+    _min_pairwise,
     adaboost_predict,
     adaboost_predict_many,
     adaboost_train,
@@ -278,13 +280,63 @@ class TestSsInit:
             ss_init(np.zeros((2, 1)), np.array([1, 3]))
 
     def test_delta_matches_brute_force(self, rng):
-        for _ in range(10):
-            pools = [rng.normal(size=(int(rng.integers(1, 12)), 3)) for _ in range(4)]
+        inputs = [[rng.normal(size=(int(rng.integers(1, 12)), 3)) for _ in range(4)] for _ in range(10)]
+        # a pool of over 512 rows, with rows repeated on both sides of row 512
+        big = rng.normal(size=(530, 3))
+        big[[40, 520, 529]] = big[[7, 300, 515]]
+        inputs.append([big, *inputs[0][1:]])
+        for pools in inputs:
             X = np.vstack(pools)
             y = np.concatenate([np.full(len(p), c + 1) for c, p in enumerate(pools)])
             state = ss_init(X, y)
             for c in (1, 2, 3, 4):
                 assert state.deltas[c] == brute_min_pairwise(state.pools[c])
+
+    def test_pool_delta_needs_no_pairwise_blocks(self, rng):
+        pool = rng.normal(size=(1500, 12))
+        tracemalloc.start()
+        try:
+            _min_pairwise(pool)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+@pytest.mark.filterwarnings("error")
+class TestDistanceOverflow:
+    """Finite vectors whose least squared distance overflows float64 are
+    rejected; an overflowed distance that is not the least changes nothing."""
+
+    OVERFLOW = r"squared distances overflow float64 \(largest \|x\| is 1e\+15[45]\); rescale it"
+
+    def test_ss_init_rejects_a_pool_whose_pairs_all_overflow(self):
+        with pytest.raises(ValueError, match=self.OVERFLOW):
+            four_class_init([[1e154], [-1e154]])
+
+    def test_ss_init_keeps_a_delta_beside_an_overflowing_pair(self):
+        state = four_class_init([[1e154], [-1e154], [-1e154 + 2**460]])
+        assert state.deltas[1] == 2.0**460
+
+    def test_singleton_pool_keeps_an_infinite_delta(self):
+        X = np.array([[1e154], [-1e154], [0.0], [1.0]])
+        state = ss_init(X, np.array([1, 2, 3, 4]))
+        assert all(state.deltas[c] == float("inf") for c in (1, 2, 3, 4))
+
+    def test_stream_rejects_a_window_far_from_every_pool(self):
+        state = four_class_init([[0.0], [2.0]])
+        with pytest.raises(ValueError, match=self.OVERFLOW):
+            ss_classify_stream(state, np.array([[1e155]]))
+
+    def test_stream_ignores_an_overflow_that_is_not_the_least(self):
+        X = np.array([[-1e154], [1e154], [0.0], [5.0]])
+        state = ss_init(X, np.array([1, 2, 3, 4]))
+        assert ss_classify_stream(state, np.array([[1.5e154]])) == [2]
+
+    def test_nearest_neighbor_checks_only_the_least_distance(self):
+        with pytest.raises(ValueError, match=self.OVERFLOW):
+            nearest_neighbor(np.array([[1e154]]), np.array([-1e154]))
+        assert nearest_neighbor(np.array([[-1e154], [1e154]]), np.array([1e154])) == (1, 0.0)
 
 
 class TestSsStream:

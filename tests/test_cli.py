@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from noseda import pipeline
+from noseda.bench import ExperimentResult
 from noseda.cli import main
+from noseda.serialize import to_json
 
 
 def spec_dict(seed=0, length=200):
@@ -91,6 +93,52 @@ def test_report_empty_dir_fails(tmp_path, capsys):
     empty.mkdir()
     assert main(["report", "--in", str(empty), "--out", str(tmp_path / "r")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def write_result(path, pair="p", method="lr", accuracy=0.5):
+    result = ExperimentResult(
+        pair=pair,
+        method=method,
+        file_names=("target",),
+        file_accuracies=(accuracy,),
+        pair_accuracy=accuracy,
+        file_macro_accuracies=(accuracy,),
+        pair_macro_accuracy=accuracy,
+        elapsed_seconds=1.25,
+        model_digest="0" * 64,
+        config={"method": method},
+    )
+    path.write_text(json.dumps(to_json(result)))
+
+
+def reported(report_base):
+    return [(r["pair"], r["method"]) for r in json.loads(report_base.with_suffix(".json").read_text())["results"]]
+
+
+def test_report_into_its_input_dir_counts_each_result_once(tmp_path):
+    # the second report reads the first one's report.json next to the cells, as beef_grid leaves its out_dir
+    write_result(tmp_path / "a.json", method="lr")
+    write_result(tmp_path / "b.json", method="ss")
+    for _ in range(2):
+        assert main(["report", "--in", str(tmp_path), "--out", str(tmp_path / "report")]) == 0
+        assert reported(tmp_path / "report") == [("p", "lr"), ("p", "ss")]
+    assert (tmp_path / "report.md").read_text().count("| p |") == 1
+
+
+def test_report_counts_an_equal_duplicate_once(tmp_path):
+    write_result(tmp_path / "a.json")
+    write_result(tmp_path / "copy_of_a.json")
+    assert main(["report", "--in", str(tmp_path), "--out", str(tmp_path / "out" / "report")]) == 0
+    assert reported(tmp_path / "out" / "report") == [("p", "lr")]
+
+
+def test_report_rejects_a_differing_duplicate(tmp_path, capsys):
+    write_result(tmp_path / "a.json", accuracy=0.5)
+    write_result(tmp_path / "b.json", accuracy=0.75)
+    assert main(["report", "--in", str(tmp_path), "--out", str(tmp_path / "out" / "report")]) == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'a.json'} and {tmp_path / 'b.json'} hold different results for p [lr]" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_misspelled_config_key_names_class_and_key(tmp_path, capsys):
