@@ -8,6 +8,7 @@ is the held-out test pool, scored per target file and averaged unweighted.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import hashlib
 import json
@@ -171,35 +172,45 @@ class SyntheticDomainSpec:
 
 
 def _generate_domain(spec: SyntheticDomainSpec, name: str, priors, length, subgroups, shifted, rng):
+    """One domain, block by block.  Each block draws, in this order, its class
+    (one uniform through the priors' inverse CDF: the whole of a one-draw
+    ``rng.choice(4, p=priors)``), its sub-group (only when there are several)
+    and its frames' standard normals.  Scaling and shifting them afterwards,
+    in place, is the ``loc + scale * z`` of ``rng.normal``."""
     d = spec.n_features
     shift = spec.shift if shifted else np.zeros(d)
-    blocks, labels = [], []
-    sub_ids = np.empty(length, dtype=np.int64)
-    t = 0
-    while t < length:
-        c = int(rng.choice(4, p=priors))
-        g = int(rng.integers(subgroups)) if subgroups > 1 else 0
-        row = c
-        if spec.subgroup_label_permutations is not None:
-            row = spec.subgroup_label_permutations[g][c]
+    cdf = np.cumsum(priors)
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+
+    def mean(c, g):
+        row = c if spec.subgroup_label_permutations is None else spec.subgroup_label_permutations[g][c]
         mu = spec.class_means[row] + shift
         if spec.subgroup_direction is None:
             mu[-1] += g * spec.subgroup_separation
         else:
             mu = mu + g * spec.subgroup_separation * spec.subgroup_direction
-        n_block = min(spec.block_length, length - t)
-        blocks.append(rng.normal(mu, spec.class_scales[c], size=(n_block, d)))
-        labels.append(np.full(n_block, c + 1))
-        sub_ids[t : t + n_block] = g
-        t += n_block
+        return mu
+
+    means = np.array([[mean(c, g) for c in range(4)] for g in range(subgroups)])  # (subgroups, 4, d)
+    features = np.empty((length, d))
+    classes, groups = [], []
+    for t in range(0, length, spec.block_length):
+        classes.append(bisect.bisect_right(cdf, rng.random()))
+        groups.append(int(rng.integers(subgroups)) if subgroups > 1 else 0)
+        rng.standard_normal(out=features[t : t + spec.block_length])
+    classes = np.repeat(np.array(classes, dtype=np.int64), spec.block_length)[:length]
+    groups = np.repeat(np.array(groups, dtype=np.int64), spec.block_length)[:length]
+    features *= spec.class_scales[classes][:, None]
+    features += means[groups, classes]
     ds = SequenceDataset(
         name=name,
-        feature_matrix=np.concatenate(blocks),
-        labels=np.concatenate(labels),
+        feature_matrix=features,
+        labels=classes + 1,
         t=np.arange(length),
         feature_names=tuple(f"g{i}" for i in range(d)),
     )
-    return ds, sub_ids
+    return ds, groups
 
 
 def synthesize_domains(spec: SyntheticDomainSpec, return_latents: bool = False):
@@ -217,13 +228,38 @@ def synthesize_domains(spec: SyntheticDomainSpec, return_latents: bool = False):
     return source, target
 
 
+# data rows per formatted write: bounds the writer's memory at a few MB
+_CSV_CHUNK_ROWS = 4096
+
+
 def write_dataset_csv(ds: SequenceDataset, path, label_column: str = "label") -> None:
+    """Write ``ds`` as the CSV that ``load_csv(path, label_column)`` reads back
+    bit for bit: feature columns in order, then the labels.
+
+    Each feature cell is the float's ``repr`` and each label its integer,
+    with ``\\r\\n`` line ends, the bytes ``csv.writer`` writes for these
+    cells.  A header that ``load_csv`` would refuse or alter (a repeated name,
+    a name with surrounding whitespace) and a non-finite feature raise
+    ``ValueError`` before ``path`` is opened.
+    """
+    header = [*ds.feature_names, label_column]
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise ValueError(f"{ds.name}: repeated column name(s) {repeated}; label_column is {label_column!r}")
+    for h in header:
+        if h != h.strip():
+            raise ValueError(f"{ds.name}: column name {h!r} has surrounding whitespace, which load_csv strips")
+    F = ds.feature_matrix
+    if not np.isfinite(F).all():
+        i, j = np.argwhere(~np.isfinite(F))[0]
+        raise ValueError(f"{ds.name}: column {header[j]!r} row {i + 1} is {F[i, j]}; load_csv reads finite values only")
+    row = "%r," * F.shape[1] + "%s\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + [label_column])
-        writer.writerows(
-            [*map(repr, row), label] for row, label in zip(ds.feature_matrix.tolist(), ds.labels.tolist())
-        )
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(ds), _CSV_CHUNK_ROWS):
+            stop = start + _CSV_CHUNK_ROWS
+            rows = zip(F[start:stop].tolist(), ds.labels[start:stop].tolist())
+            fh.write("".join([row % (*x, y) for x, y in rows]))
 
 
 # ---------------------------------------------------------------------------

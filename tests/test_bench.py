@@ -1,16 +1,21 @@
+import csv
 import dataclasses
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noseda import bench
 from noseda.bench import (
     ExperimentConfig,
     ExperimentResult,
     SyntheticDomainSpec,
+    _generate_domain,
     _run_method,
     _split_targets,
     accuracy,
@@ -23,6 +28,7 @@ from noseda.bench import (
 )
 from noseda.gmm import gmm_assign, gmm_fit
 from noseda.ingest import (
+    SequenceDataset,
     StandardizationStats,
     WindowSet,
     as_window_set,
@@ -33,7 +39,7 @@ from noseda.ingest import (
 )
 from noseda.serialize import from_json, to_json
 
-from conftest import window
+from conftest import dataset_from_arrays, window
 
 SKEWED_PRIORS = [0.111, 0.306, 0.139, 0.444]
 
@@ -279,6 +285,187 @@ class TestSynthesizeDomains:
         clone = SyntheticDomainSpec.create(**json.loads(json.dumps(to_json(spec))))
         a, b = synthesize_domains(spec), synthesize_domains(clone)
         assert np.array_equal(a[0].feature_matrix, b[0].feature_matrix)
+
+
+def reference_generate_domain(spec, name, priors, length, subgroups, shifted, rng):
+    """The generator's loop as first written, one ``rng.choice`` and one
+    ``rng.normal`` per block: ``_generate_domain`` must draw the same bits."""
+    d = spec.n_features
+    shift = spec.shift if shifted else np.zeros(d)
+    blocks, labels = [], []
+    sub_ids = np.empty(length, dtype=np.int64)
+    t = 0
+    while t < length:
+        c = int(rng.choice(4, p=priors))
+        g = int(rng.integers(subgroups)) if subgroups > 1 else 0
+        row = c
+        if spec.subgroup_label_permutations is not None:
+            row = spec.subgroup_label_permutations[g][c]
+        mu = spec.class_means[row] + shift
+        if spec.subgroup_direction is None:
+            mu[-1] += g * spec.subgroup_separation
+        else:
+            mu = mu + g * spec.subgroup_separation * spec.subgroup_direction
+        n_block = min(spec.block_length, length - t)
+        blocks.append(rng.normal(mu, spec.class_scales[c], size=(n_block, d)))
+        labels.append(np.full(n_block, c + 1))
+        sub_ids[t : t + n_block] = g
+        t += n_block
+    ds = SequenceDataset(
+        name=name,
+        feature_matrix=np.concatenate(blocks),
+        labels=np.concatenate(labels),
+        t=np.arange(length),
+        feature_names=tuple(f"g{i}" for i in range(d)),
+    )
+    return ds, sub_ids
+
+
+def reference_write_csv(ds, path, label_column="label"):
+    """The writer as first written, one ``csv.writer`` row per frame:
+    ``write_dataset_csv`` must write the same bytes."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(ds.feature_names) + [label_column])
+        writer.writerows(
+            [*map(repr, row), label] for row, label in zip(ds.feature_matrix.tolist(), ds.labels.tolist())
+        )
+
+
+@st.composite
+def generator_specs(draw):
+    """Specs over the generator's branches: 1-8 features, 1-3 sub-groups per
+    domain, with and without a direction and label permutations, priors with
+    near-zero entries, blocks of 1-24 frames and domains of 2-399 frames."""
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def priors():
+        p = rng.dirichlet([0.5] * 4)
+        if draw(st.booleans()):
+            p[rng.integers(4)] = 1e-12
+        return p / p.sum()
+
+    kwargs = dict(
+        class_means=rng.normal(0.0, 3.0, (4, d)), class_scales=rng.uniform(0.1, 3.0, 4),
+        source_priors=priors(), target_priors=priors(), shift=rng.normal(0.0, 1.0, d),
+        source_length=draw(st.integers(2, 399)), target_length=draw(st.integers(2, 399)),
+        source_subgroups=draw(st.integers(1, 3)), target_subgroups=draw(st.integers(1, 3)),
+        subgroup_separation=float(rng.normal(0.0, 2.0)), block_length=draw(st.integers(1, 24)),
+        seed=draw(st.integers(0, 999)),
+    )
+    if draw(st.booleans()):
+        kwargs["subgroup_direction"] = rng.normal(size=d)
+    if draw(st.booleans()):
+        kwargs["subgroup_label_permutations"] = [rng.permutation(4) for _ in range(3)]
+    return SyntheticDomainSpec.create(**kwargs)
+
+
+def assert_same_dataset(a, b):
+    assert (a.name, a.feature_names) == (b.name, b.feature_names)
+    for field in ("feature_matrix", "labels", "t"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), field
+
+
+class TestGeneratorMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(generator_specs())
+    def test_same_bits_as_choice_and_normal(self, spec):
+        for domain, (priors, length, subgroups) in enumerate(
+            [
+                (spec.source_priors, spec.source_length, spec.source_subgroups),
+                (spec.target_priors, spec.target_length, spec.target_subgroups),
+            ]
+        ):
+            args = ("d", priors, length, subgroups, domain == 1)
+            ds, sub_ids = _generate_domain(spec, *args, np.random.default_rng((spec.seed, domain)))
+            ref_ds, ref_sub_ids = reference_generate_domain(spec, *args, np.random.default_rng((spec.seed, domain)))
+            assert_same_dataset(ds, ref_ds)
+            assert sub_ids.dtype == ref_sub_ids.dtype and sub_ids.tobytes() == ref_sub_ids.tobytes()
+
+
+# floats whose repr is easy to get wrong: signed zero, the least subnormal,
+# near the top of the range, integral values and long mantissas
+AWKWARD_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 3.0, -2.0, 1e16, 0.1, 1 / 3]
+AWKWARD_NAMES = ["a,b", 'say "hi"', "x y", "", "line\nbreak", "naïve"]
+
+
+def random_dataset(rng, n, d, names=None):
+    F = rng.normal(0.0, 10.0 ** rng.integers(-5, 6), (n, d))
+    mask = rng.random((n, d)) < 0.3
+    F[mask] = rng.choice(AWKWARD_FLOATS, mask.sum())
+    return dataset_from_arrays(F, rng.integers(1, 5, n), feature_names=names)
+
+
+class TestWriteDatasetCsv:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 7), st.integers(0, 2**32 - 1), st.booleans())
+    def test_bytes_match_csv_writer(self, tmp_path_factory, n, d, seed, awkward):
+        rng = np.random.default_rng(seed)
+        names = [AWKWARD_NAMES[i % len(AWKWARD_NAMES)] + str(i) for i in range(d)] if awkward else None
+        ds = random_dataset(rng, n, d, names)
+        out = tmp_path_factory.mktemp("csv")
+        write_dataset_csv(ds, out / "a.csv", label_column="grade, A" if awkward else "label")
+        reference_write_csv(ds, out / "b.csv", label_column="grade, A" if awkward else "label")
+        assert (out / "a.csv").read_bytes() == (out / "b.csv").read_bytes()
+
+    def test_bytes_match_csv_writer_across_chunks(self, tmp_path, rng):
+        ds = random_dataset(rng, 2 * bench._CSV_CHUNK_ROWS + 3, 3)
+        write_dataset_csv(ds, tmp_path / "a.csv")
+        reference_write_csv(ds, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 7), st.integers(0, 2**32 - 1))
+    def test_load_csv_reads_back_every_bit(self, tmp_path_factory, n, d, seed):
+        rng = np.random.default_rng(seed)
+        names = [AWKWARD_NAMES[i % len(AWKWARD_NAMES)] + str(i) for i in range(d)]
+        ds = random_dataset(rng, n, d, names)
+        path = tmp_path_factory.mktemp("csv") / "ds.csv"
+        write_dataset_csv(ds, path, label_column="grade")
+        loaded = load_csv(path, label_column="grade")
+        assert_same_dataset(dataclasses.replace(loaded, name=ds.name), ds)
+
+    @pytest.mark.parametrize(
+        "names, label_column, message",
+        [
+            (("label", "g1"), "label", "repeated column name(s) ['label']"),
+            (("g0", "g1", "g0"), "label", "repeated column name(s) ['g0']"),
+            (("g0", "g1"), "g1", "repeated column name(s) ['g1']"),
+            ((" g ", "g1"), "label", "column name ' g ' has surrounding whitespace"),
+            (("g0", "g1\t"), "label", "column name 'g1\\t' has surrounding whitespace"),
+            (("g0", "g1"), "label ", "column name 'label ' has surrounding whitespace"),
+        ],
+    )
+    def test_header_load_csv_would_refuse_or_alter_is_refused(self, tmp_path, rng, names, label_column, message):
+        ds = random_dataset(rng, 5, len(names), names)
+        path = tmp_path / "ds.csv"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_dataset_csv(ds, path, label_column=label_column)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_refused(self, tmp_path, rng, bad):
+        F = rng.normal(size=(8, 3))
+        F[5, 1] = bad
+        F[6, 0] = bad  # a later row: the first one is named
+        path = tmp_path / "ds.csv"
+        with pytest.raises(ValueError, match=re.escape(f"ds: column 'f1' row 6 is {bad}")):
+            write_dataset_csv(dataset_from_arrays(F, np.ones(8)), path)
+        assert not path.exists()
+
+    def test_memory_stays_bounded(self, tmp_path, rng):
+        # the per-row csv.writer path listed every float at once and peaked
+        # at ~25 MB; a chunk of rows at a time keeps the peak near 2 MB
+        ds = dataset_from_arrays(rng.normal(size=(100_000, 6)), rng.integers(1, 5, 100_000))
+        tracemalloc.start()
+        try:
+            write_dataset_csv(ds, tmp_path / "big.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def write_pair(tmp_path, spec, target_name="target.csv"):
