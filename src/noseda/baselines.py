@@ -57,7 +57,8 @@ class _SortedFeatures:
     @classmethod
     def build(cls, X: np.ndarray, k: int) -> "_SortedFeatures":
         n, p = X.shape
-        order = np.argsort(X, axis=0, kind="stable").T
+        # contiguous: np.take would copy a transposed view's indices every round
+        order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
         rows, feats, thrs = [], [], []
         for f in range(p):
             xs = X[order[f], f]
@@ -69,7 +70,29 @@ class _SortedFeatures:
         return cls(order, split_index, np.concatenate(feats), np.concatenate(thrs))
 
 
-def _best_stump(sf: _SortedFeatures, class_idx: np.ndarray, w: np.ndarray, classes: tuple[int, ...]):
+@dataclass(frozen=True)
+class _StumpBuffers:
+    """``_best_stump``'s arrays, allocated once per fit and refilled every
+    round: fresh ones of this size would map and fault in new pages each round."""
+
+    positions: np.ndarray  # (n,) flat index of every sample's own class in ``weights``
+    weights: np.ndarray  # (k, n) class-major sample weights, zero outside each sample's class
+    gathered: np.ndarray  # (k, p, n) the weights in every feature's sort order
+    running: np.ndarray  # (k, p, n) their running sums (an in-place cumsum would copy its input)
+    splits: np.ndarray  # (k, m) weight left of every split, then right of it
+    maxima: np.ndarray  # (2, m) the heaviest class's weight left and right of every split
+    argmax: np.ndarray  # (2, m) that class's position in ``classes``
+
+    @classmethod
+    def build(cls, sf: _SortedFeatures, class_idx: np.ndarray, k: int) -> "_StumpBuffers":
+        p, n = sf.order.shape
+        m = sf.split_feature.size
+        positions = class_idx * n + np.arange(n)
+        cubes = (np.empty((k, p, n)), np.empty((k, p, n)))
+        return cls(positions, np.zeros((k, n)), *cubes, np.empty((k, m)), np.empty((2, m)), np.empty((2, m), dtype=np.int64))
+
+
+def _best_stump(sf: _SortedFeatures, class_idx: np.ndarray, w: np.ndarray, classes: tuple[int, ...], buf: _StumpBuffers):
     """Exhaustive midpoint-threshold search; each side votes its weighted-majority class.
 
     ``class_idx`` holds each sample's position in ``classes``.  Ties go to the
@@ -78,29 +101,30 @@ def _best_stump(sf: _SortedFeatures, class_idx: np.ndarray, w: np.ndarray, class
     """
     if sf.split_feature.size == 0:
         return None
-    n, k = class_idx.shape[0], len(classes)
-    wc = np.zeros((n, k))
-    wc[np.arange(n), class_idx] = w
-    total = wc.sum(axis=0)  # (k,)
+    total = np.bincount(class_idx, weights=w, minlength=len(classes))  # (k,), summed in sample order
+    buf.weights.reshape(-1)[buf.positions] = w
     # class-major (k, p, n) running weights, so every class is one contiguous row
-    left = np.cumsum(np.take(wc.T.copy(), sf.order, axis=1), axis=2).take(sf.split_index)  # (k, m)
-    right = total[:, None] - left
-    li, best_left = _first_max(left)
-    ri, best_right = _first_max(right)
-    err = 1.0 - (best_left + best_right)
+    np.take(buf.weights, sf.order, axis=1, out=buf.gathered, mode="clip")  # "raise" would buffer ``out``
+    np.cumsum(buf.gathered, axis=2, out=buf.running)
+    left = np.take(buf.running, sf.split_index, out=buf.splits, mode="clip")  # (k, m)
+    _first_max(left, buf.maxima[0], buf.argmax[0])
+    right = np.subtract(total[:, None], left, out=buf.splits)
+    _first_max(right, buf.maxima[1], buf.argmax[1])
+    err = np.add(buf.maxima[0], buf.maxima[1], out=buf.maxima[0])
+    np.subtract(1.0, err, out=err)  # 1 - (left + right), the weight neither side's vote gets right
     j = int(np.argmin(err))
-    stump = Stump(int(sf.split_feature[j]), float(sf.thresholds[j]), classes[li[j]], classes[ri[j]])
+    li, ri = buf.argmax[:, j]
+    stump = Stump(int(sf.split_feature[j]), float(sf.thresholds[j]), classes[li], classes[ri])
     return stump, float(err[j])
 
 
-def _first_max(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column-wise ``argmax`` over the rows of a (k, m) array (ties to the
-    lower row) and the maxima themselves."""
-    best = rows.max(axis=0)
-    arg = np.full(rows.shape[1], rows.shape[0] - 1)
+def _first_max(rows: np.ndarray, best: np.ndarray, arg: np.ndarray) -> None:
+    """Column-wise maxima of a (k, m) array into ``best``, and into ``arg``
+    the row of each (ties to the lower row)."""
+    rows.max(axis=0, out=best)
+    arg.fill(rows.shape[0] - 1)
     for c in range(rows.shape[0] - 2, -1, -1):
         np.copyto(arg, c, where=rows[c] == best)
-    return arg, best
 
 
 def adaboost_train(X: np.ndarray, labels: np.ndarray, n_estimators: int = 100) -> AdaBoostModel:
@@ -122,10 +146,11 @@ def adaboost_train(X: np.ndarray, labels: np.ndarray, n_estimators: int = 100) -
     n = X.shape[0]
     sf = _SortedFeatures.build(X, k)
     class_idx = np.searchsorted(classes, y)
+    buf = _StumpBuffers.build(sf, class_idx, k)
     w = np.full(n, 1.0 / n)
     stumps, alphas, errors = [], [], []
     for _ in range(n_estimators):
-        found = _best_stump(sf, class_idx, w, classes)
+        found = _best_stump(sf, class_idx, w, classes, buf)
         if found is None:
             log.warning("no splittable feature; stopping at %d stumps", len(stumps))
             break

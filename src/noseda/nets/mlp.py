@@ -18,7 +18,6 @@ from .common import (
     check_inputs,
     check_labeled,
     class_positions,
-    dropout_mask,
     flat_views,
     flatten_arrays,
     log_softmax,
@@ -28,6 +27,8 @@ from .common import (
 )
 
 HIDDEN_SIZES = (256, 256)
+# Rows per hidden-layer block when predicting.
+PREDICT_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -68,15 +69,22 @@ def mlp_init(input_dim: int, hidden=HIDDEN_SIZES, seed: int = 0) -> MlpParams:
     )
 
 
-def _forward(params: MlpParams, X: np.ndarray, drop1=None, drop2=None):
+def _hidden(params: MlpParams, X: np.ndarray, drop1=None, out=None):
+    """Both ReLU hidden layers, (a1, a2), the first masked by ``drop1``; the
+    second is written into ``out`` when one is given."""
     a1 = X @ params.w1
     a1 += params.b1
     np.maximum(a1, 0.0, out=a1)
     if drop1 is not None:
         a1 *= drop1
-    a2 = a1 @ params.w2
+    a2 = np.matmul(a1, params.w2, out=out)
     a2 += params.b2
     np.maximum(a2, 0.0, out=a2)
+    return a1, a2
+
+
+def _forward(params: MlpParams, X: np.ndarray, drop1=None, drop2=None):
+    a1, a2 = _hidden(params, X, drop1)
     if drop2 is not None:
         a2 *= drop2
     logits = a2 @ params.w3 + params.b3
@@ -84,8 +92,28 @@ def _forward(params: MlpParams, X: np.ndarray, drop1=None, drop2=None):
 
 
 def mlp_predict_proba(params: MlpParams, X: np.ndarray) -> np.ndarray:
-    logits, _ = _forward(params, check_inputs(X, (params.input_dim,)))
-    return softmax(logits)
+    """Class probabilities, computed without holding both (n, h) hidden layers.
+
+    The hidden layers run PREDICT_BLOCK rows at a time into one (n, h2)
+    buffer, and the narrow output layer runs once over all rows.  On
+    OpenBLAS's SkylakeX kernels, and on its Haswell kernels with one thread,
+    a row of a matrix product whose width is a multiple of 8 (the default
+    256 included) has the same bits whatever the row count, so the result
+    equals one ``_forward`` over all rows bit for bit; the 4-wide output
+    layer's rows do depend on the row count.  A 1-row tail joins the block
+    before it, since one row goes through a matrix-vector kernel.  The
+    Haswell kernels give an odd share's last row its own kernel, so with
+    more threads, which split the rows, a row's last bits can differ.
+    """
+    X = check_inputs(X, (params.input_dim,))
+    n = len(X)
+    a2 = np.empty((n, params.w2.shape[1]))
+    starts = list(range(0, n, PREDICT_BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [n]):
+        _hidden(params, X[start:stop], out=a2[start:stop])
+    return softmax(a2 @ params.w3 + params.b3)
 
 
 def mlp_predict_labels(params: MlpParams, X: np.ndarray) -> np.ndarray:
@@ -153,13 +181,23 @@ def mlp_train(
     grad = np.empty_like(flat)
     params, grads = MlpParams(*flat_views(flat, shapes)), flat_views(grad, shapes)
     adam = Adam([flat], lr=config.learning_rate)
-    h1, h2 = hidden
+    p = config.dropout
+    # one pair of dropout masks per batch length, redrawn in place each step:
+    # the same draws and bits as a fresh dropout_mask pair per step
+    masks = {}
     trace = []
     for _ in range(config.epochs):
         total = 0.0
         for idx in minibatch_indices(n, config.batch_size, rng):
-            drop1 = dropout_mask(rng, (len(idx), h1), config.dropout)
-            drop2 = dropout_mask(rng, (len(idx), h2), config.dropout)
+            drop1 = drop2 = None
+            if p > 0.0:
+                if len(idx) not in masks:
+                    masks[len(idx)] = tuple(np.empty((len(idx), h)) for h in hidden)
+                drop1, drop2 = masks[len(idx)]
+                for drop in (drop1, drop2):
+                    rng.random(out=drop)
+                    np.greater_equal(drop, p, out=drop)  # 1.0 where kept, else 0.0
+                    drop /= 1.0 - p
             loss = _loss_grad(params, X[idx], y[idx], drop1, drop2, grads)
             adam.step([flat], [grad])
             total += loss * len(idx)

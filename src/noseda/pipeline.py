@@ -22,6 +22,7 @@ import logging
 import os
 import pickle
 import signal
+import stat
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -32,7 +33,7 @@ from .ingest import StandardizationStats, Windows, WindowSet, as_window_set
 from .nets.common import TrainConfig, check_labeled
 from .nets.lstm import LstmParams, lstm_predict, lstm_predict_proba, lstm_train_many
 from .nets.softmax_regression import SoftmaxRegressionParams, softmax_predict_proba, softmax_train_many
-from .serialize import from_json, to_json
+from .serialize import from_json, json_chunks
 
 log = logging.getLogger(__name__)
 
@@ -464,7 +465,7 @@ def fit_selected(
 def model_to_json_bytes(model) -> bytes:
     """Canonical bytes of a model, or of any dataclass the codec encodes:
     sorted keys, no indentation.  Digests and model files use them."""
-    return json.dumps(to_json(model), sort_keys=True).encode("utf-8")
+    return b"".join(chunk.encode("utf-8") for chunk in json_chunks(model))
 
 
 def model_digest(model: HierarchicalModel) -> str:
@@ -472,10 +473,33 @@ def model_digest(model: HierarchicalModel) -> str:
 
 
 def save_model(model: HierarchicalModel, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(model_to_json_bytes(model))
+    """Write ``model_to_json_bytes(model)`` to the file ``path`` names.
+
+    The bytes go to a new temporary file beside that file, which then
+    replaces it, so a save that fails part way leaves no truncated model
+    behind.  A symlink at ``path`` is followed, not replaced, and a replaced
+    file keeps its permission bits.
+    """
+    data = model_to_json_bytes(model)
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            if os.path.exists(target):
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+            fh.write(data)
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_model(path) -> HierarchicalModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json(HierarchicalModel, json.load(fh))
+    """Read a ``save_model`` file; any error in it is a ``ValueError`` that
+    names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return from_json(HierarchicalModel, json.load(fh))
+    except ValueError as exc:  # json's decode errors and UnicodeDecodeError are ValueErrors too
+        raise ValueError(f"{os.fspath(path)}: {exc}") from None

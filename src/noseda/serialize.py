@@ -8,12 +8,17 @@ missing required key, a non-numeric array or a scalar of the wrong JSON type
 (``bool`` is not an ``int``; an ``int`` is a valid ``float`` and stays an
 ``int``) raises a ``ValueError`` naming the class and the key, before any
 numpy code sees the data.
+
+``json_chunks`` yields the canonical text of a value,
+``json.dumps(to_json(obj), sort_keys=True)``, in pieces, so that a large
+model's bytes are built without first turning all of it into Python lists.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import types
 import typing
 
@@ -22,6 +27,9 @@ import numpy as np
 
 # The JSON types each scalar hint accepts; bool, an int subclass, only for bool.
 _SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+# About how many numbers of an array one chunk of ``json_chunks`` holds.
+CHUNK_ITEMS = 4096
 
 
 def to_json(obj):
@@ -35,6 +43,43 @@ def to_json(obj):
     if isinstance(obj, dict):
         return {k: to_json(v) for k, v in obj.items()}
     return obj
+
+
+def json_chunks(obj):
+    """Yield strings that join to ``json.dumps(to_json(obj), sort_keys=True)``.
+
+    An array of more than ``CHUNK_ITEMS`` numbers is encoded a block of rows
+    at a time, about ``CHUNK_ITEMS`` numbers (at least one row) per block, so
+    only one block's lists exist at once.  Keys sort as ``json.dumps`` sorts
+    them, before a non-string key becomes its JSON text (``2`` before ``10``).
+    """
+    if dataclasses.is_dataclass(obj):
+        yield from _object_chunks(sorted((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)))
+    elif isinstance(obj, dict):
+        yield from _object_chunks(sorted(obj.items()))
+    elif isinstance(obj, np.ndarray) and obj.size > CHUNK_ITEMS:
+        rows = max(1, CHUNK_ITEMS // obj[0].size)
+        yield "["
+        for start in range(0, len(obj), rows):
+            yield ("" if start == 0 else ", ") + json.dumps(obj[start : start + rows].tolist())[1:-1]
+        yield "]"
+    elif isinstance(obj, (tuple, list)):
+        yield "["
+        for i, v in enumerate(obj):
+            if i:
+                yield ", "
+            yield from json_chunks(v)
+        yield "]"
+    else:
+        yield json.dumps(to_json(obj))
+
+
+def _object_chunks(items):
+    yield "{"
+    for i, (key, value) in enumerate(items):
+        yield ("" if i == 0 else ", ") + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": "
+        yield from json_chunks(value)
+    yield "}"
 
 
 @functools.cache

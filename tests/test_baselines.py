@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from noseda.baselines import (
     AdaBoostModel,
     Stump,
+    _best_stump,
     _min_pairwise,
+    _SortedFeatures,
+    _StumpBuffers,
     adaboost_predict,
     adaboost_predict_many,
     adaboost_train,
@@ -141,6 +144,102 @@ class TestAdaBoostMatchesResortingReference:
         assert (model.stumps[0].left_class, model.stumps[0].right_class) == (1, 3)
         assert model.stumps == tuple(stumps)
         assert np.array_equal(model.alphas, alphas)
+
+
+def per_round_best_stump(sf, class_idx, w, classes):
+    """Reference stump search that allocates every array afresh each round:
+    the search the per-fit buffers must reproduce bit for bit."""
+    if sf.split_feature.size == 0:
+        return None
+    n, k = class_idx.shape[0], len(classes)
+    wc = np.zeros((n, k))
+    wc[np.arange(n), class_idx] = w
+    total = wc.sum(axis=0)
+    left = np.cumsum(np.take(wc.T.copy(), sf.order, axis=1), axis=2).take(sf.split_index)
+    right = total[:, None] - left
+    li, ri = np.argmax(left, axis=0), np.argmax(right, axis=0)  # ties to the lower class
+    splits = np.arange(left.shape[1])
+    err = 1.0 - (left[li, splits] + right[ri, splits])
+    j = int(np.argmin(err))
+    stump = Stump(int(sf.split_feature[j]), float(sf.thresholds[j]), classes[li[j]], classes[ri[j]])
+    return stump, float(err[j])
+
+
+class TestStumpSearchMatchesPerRoundReference:
+    def rounds(self, rng, X, y, n_rounds=6):
+        """Both searches over rounds of fresh weights spread over many
+        magnitudes, the buffers reused from round to round."""
+        classes = tuple(sorted(set(y.tolist())))
+        class_idx = np.searchsorted(classes, y)
+        sf = _SortedFeatures.build(X, len(classes))
+        buf = _StumpBuffers.build(sf, class_idx, len(classes))
+        for _ in range(n_rounds):
+            w = np.exp(rng.normal(size=len(y)) * 8)
+            w /= w.sum()
+            yield _best_stump(sf, class_idx, w, classes, buf), per_round_best_stump(sf, class_idx, w, classes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        p=st.integers(1, 4),
+        n_classes=st.integers(2, 4),
+        levels=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical(self, n, p, n_classes, levels, seed):
+        # few distinct levels per feature: tied values, and features that never split
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, levels, size=(n, p)).astype(float)
+        y = 1 + np.arange(n) % n_classes
+        rng.shuffle(y)
+        for got, want in self.rounds(rng, X, y):
+            if want is None:
+                assert got is None
+            else:
+                assert got[0] == want[0] and got[1].hex() == want[1].hex()
+
+    def test_one_feature(self, rng):
+        X = rng.normal(size=(40, 1))
+        y = rng.integers(1, 5, size=40)
+        assert all(got == want for got, want in self.rounds(rng, X, y))
+
+    def test_tied_errors_go_to_the_first_split(self):
+        # two identical features: every split of feature 1 ties its twin in feature 0
+        X = np.repeat(np.arange(6.0)[:, None], 2, axis=1)
+        y = np.array([1, 1, 2, 2, 1, 2])
+        classes = (1, 2)
+        class_idx = np.searchsorted(classes, y)
+        sf = _SortedFeatures.build(X, 2)
+        w = np.full(6, 1 / 6)
+        got = _best_stump(sf, class_idx, w, classes, _StumpBuffers.build(sf, class_idx, 2))
+        assert got == per_round_best_stump(sf, class_idx, w, classes)
+        assert got[0].feature == 0 and got[0].threshold == 1.5
+
+    def test_no_split(self):
+        X = np.ones((5, 3))
+        y = np.array([1, 2, 1, 2, 2])
+        classes = (1, 2)
+        sf = _SortedFeatures.build(X, 2)
+        buf = _StumpBuffers.build(sf, np.searchsorted(classes, y), 2)
+        assert _best_stump(sf, np.searchsorted(classes, y), np.full(5, 0.2), classes, buf) is None
+
+    def test_a_round_allocates_no_weight_cube(self, rng):
+        # the per-round search built its (k, p, n) weights and their running
+        # sums, the (k, m) split sums and the (m,) maxima afresh every round
+        X = rng.normal(size=(2000, 12))
+        y = rng.integers(1, 5, size=2000)
+        classes = (1, 2, 3, 4)
+        class_idx = np.searchsorted(classes, y)
+        sf = _SortedFeatures.build(X, 4)
+        buf = _StumpBuffers.build(sf, class_idx, 4)
+        w = np.full(2000, 1 / 2000)
+        tracemalloc.start()
+        try:
+            _best_stump(sf, class_idx, w, classes, buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * buf.gathered.nbytes, f"peak {peak / buf.gathered.nbytes:.2f}x one (k, p, n) array"
 
 
 class TestAdaBoostPredict:

@@ -1,9 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from noseda.nets import TrainConfig, mlp_train
-from noseda.nets.common import Adam, dropout_mask, minibatch_indices
-from noseda.nets.mlp import MlpParams, mlp_init, mlp_loss_grad, mlp_predict_labels, mlp_predict_proba
+from noseda.nets.common import Adam, dropout_mask, minibatch_indices, softmax
+from noseda.nets.mlp import (
+    PREDICT_BLOCK,
+    MlpParams,
+    _forward,
+    mlp_init,
+    mlp_loss_grad,
+    mlp_predict_labels,
+    mlp_predict_proba,
+)
 
 
 def xor_set(rng, n=200):
@@ -30,6 +40,38 @@ class TestForward:
                 w2=np.zeros((9, 8)), b2=np.zeros(8),
                 w3=np.zeros((8, 4)), b3=np.zeros(4),
             )
+
+
+def random_mlp(rng, input_dim=12):
+    """Default hidden sizes with every array random, the head and biases included."""
+    return MlpParams(*(rng.normal(size=a.shape) for a in mlp_init(input_dim, seed=0).arrays()))
+
+
+class TestBlockedPredict:
+    B = PREDICT_BLOCK
+
+    @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B + 1])
+    def test_equals_one_forward_bit_for_bit(self, rng, n):
+        params = random_mlp(rng)
+        X = rng.normal(size=(n, 12))
+        expected = softmax(_forward(params, X)[0])
+        assert np.array_equal(mlp_predict_proba(params, X).view(np.int64), expected.view(np.int64))
+
+    def test_empty_input(self):
+        assert mlp_predict_proba(mlp_init(3, seed=0), np.zeros((0, 3))).shape == (0, 4)
+
+    def test_holds_one_hidden_layer(self, rng):
+        # the one-shot forward kept both (n, 256) layers alive: 2x one of them
+        params = random_mlp(rng)
+        X = rng.normal(size=(4096, 12))
+        tracemalloc.start()
+        try:
+            mlp_predict_proba(params, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        layer = X.shape[0] * 256 * 8
+        assert peak <= 1.3 * layer, f"peak {peak / layer:.2f}x one hidden layer"
 
 
 class TestTrain:

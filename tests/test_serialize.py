@@ -2,21 +2,27 @@
 before the codec existed (results, configs, generator specs)."""
 
 import dataclasses
+import errno
 import json
 import re
+import stat
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from noseda import pipeline, serialize
 from noseda.baselines import AdaBoostModel, Stump, adaboost_train, ss_init
 from noseda.bench import ExperimentConfig, ExperimentResult, SyntheticDomainSpec
 from noseda.cli import main
 from noseda.gmm import GmmParams, VAR_FLOOR
 from noseda.ingest import StandardizationStats
 from noseda.nets.lstm import LstmParams, lstm_init
-from noseda.nets.mlp import mlp_init
+from noseda.nets.mlp import MlpParams, mlp_init
 from noseda.nets.softmax_regression import SoftmaxRegressionParams
 from noseda.pipeline import (
     ClusterExpert,
@@ -26,7 +32,7 @@ from noseda.pipeline import (
     model_to_json_bytes,
     save_model,
 )
-from noseda.serialize import from_json, to_json
+from noseda.serialize import from_json, json_chunks, to_json
 
 # Files as the hand-written per-class encoders wrote them (``noseda synth`` and
 # ``noseda run``), re-rendered without indentation: json.dumps(..., indent=2)
@@ -194,6 +200,99 @@ def test_save_load_is_bit_exact(model, tmp_path_factory):
     assert_same(clone, model)
 
 
+# -- the canonical text, a chunk at a time ------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class Leaf:
+    values: np.ndarray
+    flag: bool
+    name: str
+    count: int
+    scale: float | None
+
+
+@dataclasses.dataclass(frozen=True)
+class Tree:
+    leaves: tuple[Leaf, ...]
+    by_class: dict[int, np.ndarray]
+    labels: dict[str, float]
+    child: "Tree | None"
+
+
+# extremes a float's text must keep: signed zero, the least subnormal, the largest magnitudes, non-finites
+edge_floats = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, float("nan"), float("inf")])
+json_floats = st.floats() | edge_floats
+array_shapes = st.lists(st.integers(0, 7), max_size=3).map(tuple)  # 0-d and empty arrays included
+json_arrays = arrays(np.float64, array_shapes, elements=json_floats) | arrays(
+    np.int64, array_shapes, elements=st.integers(-(2**63), 2**63 - 1)
+)
+leaves = st.builds(
+    Leaf, values=json_arrays, flag=st.booleans(), name=st.text(), count=st.integers(-(2**70), 2**70),
+    scale=st.none() | json_floats,
+)
+trees = st.deferred(
+    lambda: st.builds(
+        Tree,
+        leaves=st.lists(leaves, max_size=3).map(tuple),
+        by_class=st.dictionaries(st.integers(-3, 120), json_arrays, max_size=4),
+        labels=st.dictionaries(st.text(max_size=4), json_floats, max_size=4),
+        child=st.none() | trees,
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=trees, chunk_items=st.integers(1, 12))
+def test_chunks_join_to_the_canonical_text(tree, chunk_items):
+    # arrays of up to 7 rows of up to 49 numbers straddle every block size drawn
+    expected = json.dumps(to_json(tree), sort_keys=True)
+    assert "".join(json_chunks(tree)) == expected
+    default = serialize.CHUNK_ITEMS
+    serialize.CHUNK_ITEMS = chunk_items
+    try:
+        assert "".join(json_chunks(tree)) == expected
+    finally:
+        serialize.CHUNK_ITEMS = default
+
+
+def test_integer_keys_sort_as_numbers():
+    tree = Tree(leaves=(), by_class={10: np.zeros(1), 2: np.ones(1), -1: np.array([])}, labels={}, child=None)
+    text = "".join(json_chunks(tree))
+    assert '"by_class": {"-1": [], "2": [1.0], "10": [0.0]}' in text
+    assert text == json.dumps(to_json(tree), sort_keys=True)
+
+
+def big_mlp():
+    rng = np.random.default_rng(0)
+    return MlpParams(*(rng.normal(size=a.shape) for a in mlp_init(12, seed=0).arrays()))
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_model_bytes_and_file_agree(tmp_path):
+    model = big_mlp()
+    data = model_to_json_bytes(model)
+    assert data == json.dumps(to_json(model), sort_keys=True).encode("utf-8")
+    save_model(model, tmp_path / "mlp.json")
+    assert (tmp_path / "mlp.json").read_bytes() == data
+
+
+def test_large_model_bytes_stay_within_a_few_copies():
+    # the whole-model json.dumps listed every number first and peaked at ~5x the bytes
+    model = big_mlp()
+    data, peak = traced_peak(lambda: model_to_json_bytes(model))
+    assert len(data) > 1_000_000
+    assert peak <= 3 * len(data), f"model bytes peak {peak / len(data):.2f}x their length"
+
+
 # -- malformed files fail at the boundary ------------------------------------
 
 
@@ -215,6 +314,101 @@ def test_expert_missing_weights(tmp_path):
     del obj["experts"][1]["expert_before"]["wx"]
     with pytest.raises(ValueError, match=re.escape("LstmParams: missing keys ['wx']")):
         load_model(model_file(tmp_path, obj))
+
+
+def test_truncated_file_names_itself(tmp_path):
+    path = tmp_path / "model.json"
+    data = model_to_json_bytes(make_model())
+    path.write_bytes(data[: len(data) // 2])
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: Expecting ")):
+        load_model(path)
+
+
+def test_schema_error_names_the_file(tmp_path):
+    obj = json.loads(model_to_json_bytes(make_model()))
+    del obj["experts"][1]["expert_before"]["wx"]
+    path = model_file(tmp_path, obj)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: LstmParams: missing keys ['wx']")):
+        load_model(path)
+
+
+def test_undecodable_file_names_itself(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(b'{"gmm": "\xff"}')
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: 'utf-8' codec can't decode")):
+        load_model(path)
+
+
+class FullDisk:
+    """A file whose first write stores half of its bytes, then fails as a full disk does."""
+
+    def __init__(self, fd, mode):
+        self.fh = open(fd, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_save_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    save_model(make_model(), path)
+    old = path.read_bytes()
+    monkeypatch.setattr(pipeline, "open", FullDisk, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_model(make_model(k=3), path)
+    assert path.read_bytes() == old
+    assert [f.name for f in tmp_path.iterdir()] == ["model.json"]
+
+
+def test_failed_save_leaves_no_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "open", FullDisk, raising=False)
+    with pytest.raises(OSError):
+        save_model(make_model(), tmp_path / "model.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_replaces_an_existing_model(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(make_model(k=3), path)
+    path.chmod(0o640)
+    save_model(make_model(k=1), path)
+    assert path.read_bytes() == model_to_json_bytes(make_model(k=1))
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert [f.name for f in tmp_path.iterdir()] == ["model.json"]
+
+
+def test_save_through_a_symlink_replaces_its_target(tmp_path):
+    (tmp_path / "models").mkdir()
+    target = tmp_path / "models" / "model.json"
+    save_model(make_model(k=3), target)
+    link = tmp_path / "latest.json"
+    link.symlink_to(target)
+    save_model(make_model(k=1), link)
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_bytes() == model_to_json_bytes(make_model(k=1))
+    assert [f.name for f in (tmp_path / "models").iterdir()] == ["model.json"]
+
+
+def test_threads_saving_one_path_leave_one_whole_model(tmp_path):
+    path = tmp_path / "model.json"
+    models = [make_model(k=k) for k in (1, 2, 3, 4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            list(pool.map(lambda m: [save_model(m, path) for _ in range(5)], models, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert path.read_bytes() in [model_to_json_bytes(m) for m in models]
+    assert [f.name for f in tmp_path.iterdir()] == ["model.json"]
 
 
 def parent_format(obj):
