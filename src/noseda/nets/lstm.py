@@ -230,51 +230,68 @@ def _lockstep_schedule(n: Sequence[int], batch_size: int) -> list[tuple[int, int
     return schedule
 
 
+def _check_index_sets(index_sets, n: int) -> list[np.ndarray]:
+    """Each index set as a nonempty 1-D integer array of rows in 0..n - 1."""
+    sets = []
+    for j, idx in enumerate(index_sets):
+        idx = np.asarray(idx)
+        if idx.ndim != 1:
+            raise ValueError(f"index set {j} must be 1-D, got shape {idx.shape}")
+        if idx.size == 0:
+            raise ValueError(f"index set {j} is empty")
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"index set {j} must hold integers, got dtype {idx.dtype}")
+        bad = np.flatnonzero((idx < 0) | (idx >= n))
+        if bad.size:
+            raise ValueError(f"index set {j} has index {idx[bad[0]]} at position {bad[0]}, outside 0..{n - 1}")
+        sets.append(idx)
+    return sets
+
+
 def lstm_train_many(
-    Xs: Sequence[np.ndarray],
-    labels: Sequence[np.ndarray],
+    X: np.ndarray,
+    labels: np.ndarray,
+    index_sets: Sequence[np.ndarray],
     configs: Sequence[TrainConfig],
     return_trace: bool = False,
 ):
-    """Train one network per (X, labels, config) triple, all in lockstep.
+    """Train network j on the windows ``X[index_sets[j]]`` (in that order)
+    with ``configs[j]``, all in lockstep.
 
-    The configs must agree on epochs, batch size, learning rate and dropout,
-    and the windows on their width d; seeds and dataset sizes may differ.
+    The configs must agree on epochs, batch size, learning rate and dropout;
+    seeds and set sizes may differ, and sets may overlap or repeat an index.
     Every network is bit-identical to what ``lstm_train`` returns for its
-    triple alone: each keeps its own ``default_rng(config.seed)`` stream
-    (init draw, then per epoch a permutation and that epoch's dropout draws)
-    and its own Adam step count, so a network that runs out of batches in an
-    epoch simply skips the remaining steps.
+    windows and config alone: each keeps its own ``default_rng(config.seed)``
+    stream (init draw, then per epoch a permutation and that epoch's dropout
+    draws) and its own Adam step count, so a network that runs out of batches
+    in an epoch simply skips the remaining steps.  The windows are never
+    copied per network: each step gathers its batches from ``X``.
 
     Returns the list of params in input order, plus the list of per-epoch
     mean-loss traces when ``return_trace`` is set.
     """
     configs = list(configs)
-    if not configs or len(Xs) != len(configs) or len(labels) != len(configs):
-        raise ValueError(f"need one dataset per config, got {len(Xs)} X, {len(labels)} labels, {len(configs)} configs")
+    if not configs or len(index_sets) != len(configs):
+        raise ValueError(f"need one index set per config, got {len(index_sets)} sets, {len(configs)} configs")
     for name in ("epochs", "batch_size", "learning_rate", "dropout"):
         values = {getattr(cfg, name) for cfg in configs}
         if len(values) > 1:
             raise ValueError(f"lockstep training needs one {name}, got {sorted(values)}")
     epochs, bs, p = configs[0].epochs, configs[0].batch_size, configs[0].dropout
+    X, y = check_labeled(X, labels, (2, None), N_CLASSES, 1)
+    sets = _check_index_sets(index_sets, len(X))
 
-    data = [check_labeled(X, y, (2, None), N_CLASSES, 1) for X, y in zip(Xs, labels)]
-    widths = sorted({X.shape[2] for X, _ in data})
-    if len(widths) > 1:
-        raise ValueError(f"lockstep training needs one window width, got {widths}")
-    d = widths[0]
-
-    # Stack the models by decreasing dataset size: at every step the models
-    # that still have a batch, and among them those with a full one, are then
-    # a prefix, so each group of equal batch length is a slice of the stack.
+    # Stack the models by decreasing set size: at every step the models that
+    # still have a batch, and among them those with a full one, are then a
+    # prefix, so each group of equal batch length is a slice of the stack.
     M = len(configs)
-    order = sorted(range(M), key=lambda j: -len(data[j][1]))
-    data = [data[j] for j in order]
-    n = [len(y) for _, y in data]
+    order = sorted(range(M), key=lambda j: -len(sets[j]))
+    sets = [sets[j] for j in order]
+    n = [len(idx) for idx in sets]
     schedule = _lockstep_schedule(n, bs)
 
     rngs = [np.random.default_rng(configs[j].seed) for j in order]
-    inits = [lstm_init(d, seed=int(rng.integers(2**63))) for rng in rngs]
+    inits = [lstm_init(X.shape[2], seed=int(rng.integers(2**63))) for rng in rngs]
     # one flat row of parameters per model, so Adam updates a group in one pass
     flat = np.stack([flatten_arrays(p0.arrays()) for p0 in inits])
     views = flat_views(flat, inits[0].shapes())
@@ -285,10 +302,9 @@ def lstm_train_many(
     t = np.zeros(M, dtype=np.int64)
     corrections = adam_corrections(epochs * -(-n[0] // bs))
     lr = configs[0].learning_rate
-    # each epoch's shuffled copy of every dataset, so that a step's batches
-    # are slices rather than gathers
-    X_ep = np.zeros((M, n[0], 2, d))
-    y_ep = np.zeros((M, n[0]), dtype=np.int64)
+    # each epoch's shuffled rows of X for every model, so that a step's
+    # batches are slices of one index array
+    idx_ep = np.zeros((M, n[0]), dtype=np.intp)
     # each epoch's dropout draws, turned into its masks in place: one call per
     # network right after its permutation is the same stream as one per batch
     drop_ep = np.zeros((M, n[0], HIDDEN_DIM)) if p > 0.0 else None
@@ -297,20 +313,20 @@ def lstm_train_many(
     traces = [[] for _ in range(M)]
 
     for _ in range(epochs):
-        for j, ((X, y), rng) in enumerate(zip(data, rngs)):
+        for j, (idx, rng) in enumerate(zip(sets, rngs)):
             perm = rng.permutation(n[j])
             if drop_ep is not None:
                 rng.random((n[j], HIDDEN_DIM), out=drop_ep[j, : n[j]])
-            np.take(X, perm, axis=0, out=X_ep[j, : n[j]])
-            np.take(y, perm, out=y_ep[j, : n[j]])
+            idx_ep[j, : n[j]] = idx[perm]
         if drop_ep is not None:
             np.greater_equal(drop_ep, p, out=drop_ep)  # 1.0 where kept, else 0.0
             drop_ep /= 1.0 - p
         totals = np.zeros(M)
         for lo, a, b, length in schedule:
             batch = slice(lo, lo + length)
+            rows = idx_ep[a:b, batch]
             drop = None if drop_ep is None else drop_ep[a:b, batch]
-            loss = _loss_grad(subs[a, b], X_ep[a:b, batch], y_ep[a:b, batch], drop, grad[a:b])
+            loss = _loss_grad(subs[a, b], X[rows], y[rows], drop, grad[a:b])
             t[a:b] += 1
             c = corrections[t[a:b]]
             adam_update(
@@ -342,5 +358,6 @@ def lstm_train(
     seed.  Returns the final-epoch params, plus the per-epoch mean-loss trace
     when ``return_trace`` is set.  The one-model case of ``lstm_train_many``.
     """
-    params, traces = lstm_train_many([X], [labels], [config], return_trace=True)
+    rows = np.arange(np.shape(X)[0] if np.ndim(X) else 0)
+    params, traces = lstm_train_many(X, labels, [rows], [config], return_trace=True)
     return (params[0], traces[0]) if return_trace else params[0]

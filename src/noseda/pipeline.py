@@ -115,14 +115,17 @@ def _train_networks(stage: str, parts, sets_per_run, configs) -> list[list[LstmP
     """Train one network per (cluster id, window indices) pair of every run,
     all in one lockstep call, with the run's config seeded by
     ``stage_seed(run seed, stage, cluster id)``.  The indices address the
-    windows of ``parts`` end to end; callers keep only indices, and the
-    window copies are made here.  Returns the networks per run."""
+    windows of ``parts`` end to end, and every network trains from one array
+    of them: a lone part's own windows, or the parts joined once.  Returns
+    the networks per run."""
     jobs = [(c, idx, cfg) for sets, cfg in zip(sets_per_run, configs) for c, idx in sets]
     parts = [as_window_set(part) for part in parts if len(part)]
-    X, y = np.concatenate([p.X for p in parts]), np.concatenate([p.y for p in parts])
-    Xs, ys = [X[idx] for _, idx, _ in jobs], [y[idx] for _, idx, _ in jobs]
-    del parts, X, y  # only the copies live on through training
-    params = iter(lstm_train_many(Xs, ys, [replace(cfg, seed=stage_seed(cfg.seed, stage, c)) for c, _, cfg in jobs]))
+    if len(parts) == 1:
+        X, y = parts[0].X, parts[0].y
+    else:
+        X, y = np.concatenate([p.X for p in parts]), np.concatenate([p.y for p in parts])
+    seeded = [replace(cfg, seed=stage_seed(cfg.seed, stage, c)) for c, _, cfg in jobs]
+    params = iter(lstm_train_many(X, y, [idx for _, idx, _ in jobs], seeded))
     return [[next(params) for _ in sets] for sets in sets_per_run]
 
 

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from noseda.nets import Adam, TrainConfig, lstm_predict, lstm_predict_proba, lstm_train
 from noseda.nets.common import dropout_mask, log_softmax, minibatch_indices
-from noseda.nets.lstm import LstmParams, lstm_init, lstm_loss_grad, lstm_train_many, _forward
+from noseda.nets.lstm import HIDDEN_DIM, LstmParams, lstm_init, lstm_loss_grad, lstm_train_many, _forward
 from noseda.serialize import from_json, to_json
 
 
@@ -267,13 +270,20 @@ class TestTrainMany:
     def datasets(self, rng, d=3):
         return [separable_windows(rng, n=n, d=d) for n in self.SIZES]
 
+    @staticmethod
+    def joined(data):
+        """The datasets as one window array and one index set each."""
+        ends = np.cumsum([len(y) for _, y in data])
+        sets = [np.arange(end - len(y), end) for (_, y), end in zip(data, ends)]
+        return np.concatenate([X for X, _ in data]), np.concatenate([y for _, y in data]), sets
+
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
     def test_matches_sequential_reference(self, rng, dropout):
         data = self.datasets(rng)
         configs = [
             TrainConfig(epochs=4, dropout=dropout, learning_rate=0.02, batch_size=16, seed=s) for s in (7, 1, 4, 1, 0)
         ]
-        params, traces = lstm_train_many([X for X, _ in data], [y for _, y in data], configs, return_trace=True)
+        params, traces = lstm_train_many(*self.joined(data), configs, return_trace=True)
         assert len(params) == len(traces) == len(data)
         for (X, y), cfg, p, trace in zip(data, configs, params, traces):
             ref, ref_trace = sequential_train(X, y, cfg)
@@ -285,48 +295,89 @@ class TestTrainMany:
             assert trace == single_trace
 
     def test_input_order_does_not_matter(self, rng):
-        data = self.datasets(rng)
-        configs = [TrainConfig(epochs=2, dropout=0.2, batch_size=16, seed=s) for s in range(len(data))]
-        forward = lstm_train_many([X for X, _ in data], [y for _, y in data], configs)
-        backward = lstm_train_many([X for X, _ in data[::-1]], [y for _, y in data[::-1]], configs[::-1])
+        X, y, sets = self.joined(self.datasets(rng))
+        configs = [TrainConfig(epochs=2, dropout=0.2, batch_size=16, seed=s) for s in range(len(sets))]
+        forward = lstm_train_many(X, y, sets, configs)
+        backward = lstm_train_many(X, y, sets[::-1], configs[::-1])
         for p, q in zip(forward, backward[::-1]):
             for a, b in zip(p.arrays(), q.arrays()):
                 assert np.array_equal(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sets=st.lists(st.lists(st.integers(0, 19), min_size=1, max_size=13), min_size=1, max_size=5),
+        batch_size=st.integers(2, 6),
+        dropout=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 2**32),
+    )
+    # batch 4: sizes 1, B - 1, B, B + 1 and a partial last batch, unsorted, with repeats
+    @example(
+        sets=[[3], [5, 5, 1], [7, 2, 9, 0], [19, 4, 4, 11, 6], [8, 8, 8, 0, 13, 2, 17, 5, 5, 12]],
+        batch_size=4, dropout=0.3, seed=0,
+    )
+    def test_each_network_trains_on_its_index_set(self, sets, batch_size, dropout, seed):
+        X, y = separable_windows(np.random.default_rng(seed), n=20)
+        sets = [np.array(idx) for idx in sets]
+        configs = [
+            TrainConfig(epochs=2, dropout=dropout, learning_rate=0.05, batch_size=batch_size, seed=seed + j)
+            for j in range(len(sets))
+        ]
+        params, traces = lstm_train_many(X, y, sets, configs, return_trace=True)
+        for idx, cfg, p, trace in zip(sets, configs, params, traces):
+            single, single_trace = lstm_train(X[idx], y[idx], cfg, return_trace=True)
+            for a, b in zip(p.arrays(), single.arrays()):
+                assert same_bits(a, b)
+            assert trace == single_trace
+
+    def test_windows_are_not_copied_per_network(self, rng):
+        # 10 networks of ~1000 windows each from one 2000-window array: the
+        # trainer's peak stays below one copy of those networks' windows plus
+        # their dropout buffer, which per-network copies alone would exceed
+        d = 6
+        X, y = separable_windows(rng, n=2000, d=d)
+        sets = [rng.choice(2000, size=int(rng.integers(900, 1100)), replace=False) for _ in range(10)]
+        configs = [TrainConfig(epochs=2, dropout=0.2, batch_size=32, seed=s) for s in range(len(sets))]
+        tracemalloc.start()
+        try:
+            lstm_train_many(X, y, sets, configs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        windows = sum(len(idx) for idx in sets) * 2 * d * 8
+        dropout = len(sets) * max(len(idx) for idx in sets) * HIDDEN_DIM * 8
+        assert peak < windows + dropout, f"peak {peak / 1e6:.2f} MB"
 
     @pytest.mark.parametrize(
         "field, value",
         [("epochs", 3), ("batch_size", 8), ("learning_rate", 0.1), ("dropout", 0.5)],
     )
     def test_mixed_shared_settings_rejected(self, rng, field, value):
-        data = self.datasets(rng)[:3]
+        X, y, sets = self.joined(self.datasets(rng)[:3])
         base = TrainConfig(epochs=2, dropout=0.2, learning_rate=0.01, batch_size=16)
         configs = [base, replace(base, seed=1), replace(base, seed=2, **{field: value})]
         with pytest.raises(ValueError, match=field):
-            lstm_train_many([X for X, _ in data], [y for _, y in data], configs)
-
-    def test_mixed_window_width_rejected(self, rng):
-        (X1, y1), (X2, y2) = separable_windows(rng, n=20, d=3), separable_windows(rng, n=20, d=4)
-        with pytest.raises(ValueError, match="width"):
-            lstm_train_many([X1, X2], [y1, y2], [TrainConfig(epochs=1)] * 2)
+            lstm_train_many(X, y, sets, configs)
 
     def test_one_dataset_per_config(self, rng):
         X, y = separable_windows(rng, n=20)
+        rows = np.arange(20)
         with pytest.raises(ValueError):
-            lstm_train_many([X, X], [y, y], [TrainConfig(epochs=1)])
+            lstm_train_many(X, y, [rows, rows], [TrainConfig(epochs=1)])
         with pytest.raises(ValueError):
-            lstm_train_many([], [], [])
+            lstm_train_many(X, y, [], [])
 
     def test_bad_member_rejected(self, rng):
         X, y = separable_windows(rng, n=20)
+        rows = np.arange(20)
         cfgs = [TrainConfig(epochs=1)] * 2
         with pytest.raises(ValueError, match="empty"):
-            lstm_train_many([X, X[:0]], [y, y[:0]], cfgs)
+            lstm_train_many(X, y, [rows, rows[:0]], cfgs)
         with pytest.raises(ValueError, match="labels"):
-            lstm_train_many([X, X], [y, y[:-1]], cfgs)
+            lstm_train_many(X, y[:-1], [rows, rows], cfgs)
         bad = X.copy()
         bad[3, 1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            lstm_train_many([X, bad], [y, y], cfgs)
+            lstm_train_many(bad, y, [rows, rows[5:]], cfgs)
 
 
 class TestConfig:

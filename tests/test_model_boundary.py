@@ -38,7 +38,7 @@ POOL = np.random.default_rng(1).normal(size=(3, 6))
 LABELED = {
     "lstm_loss_grad": ((2, 3), 1, lambda X, y: lstm_loss_grad(lstm_init(3), X, y)),
     "lstm_train": ((2, 3), 1, lambda X, y: lstm_train(X, y, ONE_EPOCH)),
-    "lstm_train_many": ((2, 3), 1, lambda X, y: lstm_train_many([X], [y], [ONE_EPOCH])),
+    "lstm_train_many": ((2, 3), 1, lambda X, y: lstm_train_many(X, y, [np.arange(len(X)), [4, 0, 0]], [ONE_EPOCH] * 2)),
     "mlp_loss_grad": ((6,), 1, lambda X, y: mlp_loss_grad(mlp_init(6, hidden=(4, 4)), X, y)),
     "mlp_train": ((6,), 1, lambda X, y: mlp_train(X, y, ONE_EPOCH, hidden=(4, 4))),
     "softmax_loss_grad": ((6,), 0, lambda X, y: softmax_loss_grad(SOFTMAX, X, y)),
@@ -123,6 +123,30 @@ def test_wrong_input_shape(name):
     X, y = labeled_set(shape, first)
     with pytest.raises(ValueError, match="expected windows of shape"):
         call(X[..., None], y)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.arange(0), "index set 1 is empty"),
+        ([], "index set 1 is empty"),
+        (np.ones((2, 2), dtype=np.int64), "index set 1 must be 1-D, got shape (2, 2)"),
+        (np.ones(3, dtype=bool), "index set 1 must hold integers, got dtype bool"),
+        (np.array([0.0, 1.0]), "index set 1 must hold integers, got dtype float64"),
+        (np.array([0, 2, -1, -3]), "index set 1 has index -1 at position 2, outside 0..4"),
+        (np.array([4, 5, 9]), "index set 1 has index 5 at position 1, outside 0..4"),
+        (np.array([0, 2**63 - 1], dtype=np.uint64), f"index set 1 has index {2**63 - 1} at position 1, outside 0..4"),
+    ],
+)
+def test_lstm_train_many_bad_index_set(monkeypatch, bad, message):
+    # a negative index would otherwise wrap to a window from the array's end
+    def no_training(*args, **kwargs):
+        raise AssertionError("a network trained before the index sets were checked")
+
+    monkeypatch.setattr("noseda.nets.lstm.lstm_init", no_training)
+    X, y = labeled_set((2, 3), 1)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lstm_train_many(X, y, [np.arange(5), bad], [ONE_EPOCH] * 2)
 
 
 @pytest.mark.parametrize("name", PREDICT)

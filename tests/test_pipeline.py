@@ -219,9 +219,9 @@ class TestAdaptation:
         seen = []
         real = pipeline_mod.lstm_train_many
 
-        def spy(Xs, ys, cfgs, **kw):
-            seen.extend(len(y) for y in ys)
-            return real(Xs, ys, cfgs, **kw)
+        def spy(X, y, index_sets, cfgs, **kw):
+            seen.extend(len(idx) for idx in index_sets)
+            return real(X, y, index_sets, cfgs, **kw)
 
         monkeypatch.setattr(pipeline_mod, "lstm_train_many", spy)
         source = [window(rng.normal(size=(2, 2)), 1 + i % 4) for i in range(100)]
