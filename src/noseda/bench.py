@@ -330,9 +330,14 @@ class ExperimentResult:
     selection: dict | None = None
 
     def __post_init__(self):
-        for a in self.file_accuracies + (self.pair_accuracy,):
-            if not (0.0 <= a <= 1.0):
-                raise ValueError(f"accuracy {a} outside [0, 1]")
+        for name in ("file_accuracies", "pair_accuracy", "file_macro_accuracies", "pair_macro_accuracy"):
+            per_file = name.startswith("file")
+            values = getattr(self, name) if per_file else (getattr(self, name),)
+            if per_file and len(values) != len(self.file_names):
+                raise ValueError(f"{name} has {len(values)} entries for {len(self.file_names)} files")
+            for a in values:
+                if not (0.0 <= a <= 1.0):
+                    raise ValueError(f"{name} {a} outside [0, 1]")
 
 
 def _load_domain(paths: Sequence[str], config: ExperimentConfig) -> list[SequenceDataset]:

@@ -19,12 +19,11 @@ from .bench import (
     synthesize_domains,
     write_dataset_csv,
 )
-from .serialize import from_json, to_json
+from .serialize import from_json, read_json, to_json
 
 
 def _cmd_run(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        config = from_json(ExperimentConfig, json.load(fh))
+    config = read_json(args.config, lambda obj: from_json(ExperimentConfig, obj))
     if args.out is not None:
         config = replace(config, output=args.out)
     result = run_experiment(config)
@@ -38,8 +37,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
-        spec = SyntheticDomainSpec.create(**json.load(fh))
+    spec = read_json(args.spec, lambda obj: SyntheticDomainSpec.create(**obj))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     source, target = synthesize_domains(spec)
@@ -51,14 +49,17 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _results(obj) -> list[ExperimentResult]:
+    """The results in one result file's JSON, or in a merged report's."""
+    return [from_json(ExperimentResult, entry) for entry in (obj["results"] if "results" in obj else [obj])]
+
+
 def _cmd_report(args) -> int:
     in_dir = Path(args.in_dir)
     # a merged report (an earlier one, or beef_grid's) repeats its cells: count each (pair, method) once
     found: dict[tuple[str, str], tuple[ExperimentResult, Path]] = {}
     for f in sorted(in_dir.glob("*.json")):
-        obj = json.loads(f.read_text(encoding="utf-8"))
-        for entry in obj["results"] if "results" in obj else [obj]:
-            r = from_json(ExperimentResult, entry)
+        for r in read_json(f, _results):
             first, first_file = found.setdefault((r.pair, r.method), (r, f))
             if r != first:
                 raise ValueError(f"{first_file} and {f} hold different results for {r.pair} [{r.method}]")

@@ -252,45 +252,43 @@ def lstm_train_many(
     X: np.ndarray,
     labels: np.ndarray,
     index_sets: Sequence[np.ndarray],
-    configs: Sequence[TrainConfig],
-    return_trace: bool = False,
+    config: TrainConfig,
+    seeds: Sequence[int],
 ):
     """Train network j on the windows ``X[index_sets[j]]`` (in that order)
-    with ``configs[j]``, all in lockstep.
+    with ``config``'s epochs, batch size, learning rate and dropout and the
+    stream ``default_rng(seeds[j])``, all in lockstep; ``config.seed`` is
+    not used.
 
-    The configs must agree on epochs, batch size, learning rate and dropout;
-    seeds and set sizes may differ, and sets may overlap or repeat an index.
-    Every network is bit-identical to what ``lstm_train`` returns for its
-    windows and config alone: each keeps its own ``default_rng(config.seed)``
-    stream (init draw, then per epoch a permutation and that epoch's dropout
-    draws) and its own Adam step count, so a network that runs out of batches
-    in an epoch simply skips the remaining steps.  The windows are never
-    copied per network: each step gathers its batches from ``X``.
+    Set sizes may differ, and sets may overlap or repeat an index.  Every
+    network is bit-identical to what ``lstm_train`` returns for its windows
+    and ``replace(config, seed=seeds[j])`` alone: each keeps its own stream
+    (init draw, then per epoch a permutation and that epoch's dropout draws)
+    and its own Adam step count, so a network that runs out of batches in an
+    epoch simply skips the remaining steps.  The windows are never copied per
+    network: each step gathers its batches from ``X``.
 
-    Returns the list of params in input order, plus the list of per-epoch
-    mean-loss traces when ``return_trace`` is set.
+    Returns the params and the per-epoch mean-loss traces, in input order.
     """
-    configs = list(configs)
-    if not configs or len(index_sets) != len(configs):
-        raise ValueError(f"need one index set per config, got {len(index_sets)} sets, {len(configs)} configs")
-    for name in ("epochs", "batch_size", "learning_rate", "dropout"):
-        values = {getattr(cfg, name) for cfg in configs}
-        if len(values) > 1:
-            raise ValueError(f"lockstep training needs one {name}, got {sorted(values)}")
-    epochs, bs, p = configs[0].epochs, configs[0].batch_size, configs[0].dropout
+    if len(seeds) == 0 or len(seeds) != len(index_sets):
+        raise ValueError(f"need one seed per index set, got {len(index_sets)} sets, {len(seeds)} seeds")
+    for j, seed in enumerate(seeds):
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed {j} must be a non-negative integer, got {seed!r}")
+    epochs, bs, p, lr = config.epochs, config.batch_size, config.dropout, config.learning_rate
     X, y = check_labeled(X, labels, (2, None), N_CLASSES, 1)
     sets = _check_index_sets(index_sets, len(X))
 
     # Stack the models by decreasing set size: at every step the models that
     # still have a batch, and among them those with a full one, are then a
     # prefix, so each group of equal batch length is a slice of the stack.
-    M = len(configs)
+    M = len(seeds)
     order = sorted(range(M), key=lambda j: -len(sets[j]))
     sets = [sets[j] for j in order]
     n = [len(idx) for idx in sets]
     schedule = _lockstep_schedule(n, bs)
 
-    rngs = [np.random.default_rng(configs[j].seed) for j in order]
+    rngs = [np.random.default_rng(seeds[j]) for j in order]
     inits = [lstm_init(X.shape[2], seed=int(rng.integers(2**63))) for rng in rngs]
     # one flat row of parameters per model, so Adam updates a group in one pass
     flat = np.stack([flatten_arrays(p0.arrays()) for p0 in inits])
@@ -301,7 +299,6 @@ def lstm_train_many(
     grad = np.empty_like(flat)
     t = np.zeros(M, dtype=np.int64)
     corrections = adam_corrections(epochs * -(-n[0] // bs))
-    lr = configs[0].learning_rate
     # each epoch's shuffled rows of X for every model, so that a step's
     # batches are slices of one index array
     idx_ep = np.zeros((M, n[0]), dtype=np.intp)
@@ -336,14 +333,9 @@ def lstm_train_many(
         for j in range(M):
             traces[j].append(float(totals[j] / n[j]))
 
-    params = [None] * M
-    out_traces = [None] * M
-    for pos_j, j in enumerate(order):
-        params[j] = LstmParams(*(v[pos_j].copy() for v in views))
-        out_traces[j] = traces[pos_j]
-    if return_trace:
-        return params, out_traces
-    return params
+    stacked_at = np.argsort(order)  # each network's row in the stack, in input order
+    params = [LstmParams(*(v[pos].copy() for v in views)) for pos in stacked_at]
+    return params, [traces[pos] for pos in stacked_at]
 
 
 def lstm_train(
@@ -359,5 +351,5 @@ def lstm_train(
     when ``return_trace`` is set.  The one-model case of ``lstm_train_many``.
     """
     rows = np.arange(np.shape(X)[0] if np.ndim(X) else 0)
-    params, traces = lstm_train_many(X, labels, [rows], [config], return_trace=True)
+    params, traces = lstm_train_many(X, labels, [rows], config, [config.seed])
     return (params[0], traces[0]) if return_trace else params[0]

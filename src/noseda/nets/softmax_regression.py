@@ -107,7 +107,6 @@ def softmax_train_many(
     n_classes: int,
     l2: float = 1e-4,
     max_iter: int = 500,
-    return_trace: bool = False,
 ):
     """Train one model per row of the (M, n) ``labels`` stack (0-based class
     indices) on the shared inputs X (n, d), all in lockstep.
@@ -119,8 +118,7 @@ def softmax_train_many(
     tries the full step for the whole stack; nearly all steps are taken
     there, so one candidate evaluation usually serves every model.
 
-    Returns the list of params in row order, plus the list of loss traces
-    when ``return_trace`` is set.
+    Returns the params and the loss traces, both in row order.
     """
     if len(labels) == 0:
         raise ValueError("need at least one set of labels")
@@ -160,9 +158,7 @@ def softmax_train_many(
     out_w[rows], out_b[rows] = weights, bias
 
     params = [SoftmaxRegressionParams(weights=w.copy(), bias=b.copy()) for w, b in zip(out_w, out_b)]
-    if return_trace:
-        return params, traces
-    return params
+    return params, traces
 
 
 def softmax_train(
@@ -181,5 +177,5 @@ def softmax_train(
     0-based indices into ``n_classes`` classes.  The one-model case of
     ``softmax_train_many``.
     """
-    params, traces = softmax_train_many(X, [labels], n_classes, l2, max_iter, return_trace=True)
+    params, traces = softmax_train_many(X, [labels], n_classes, l2, max_iter)
     return (params[0], traces[0]) if return_trace else params[0]

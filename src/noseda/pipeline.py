@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import logging
 import os
 import pickle
@@ -33,7 +32,7 @@ from .ingest import StandardizationStats, Windows, WindowSet, as_window_set
 from .nets.common import TrainConfig, check_labeled
 from .nets.lstm import LstmParams, lstm_predict, lstm_predict_proba, lstm_train_many
 from .nets.softmax_regression import SoftmaxRegressionParams, softmax_predict_proba, softmax_train_many
-from .serialize import from_json, json_chunks
+from .serialize import from_json, json_chunks, read_json
 
 log = logging.getLogger(__name__)
 
@@ -95,7 +94,9 @@ class HierarchicalModel:
 class SelectionReport:
     shot_accuracies: tuple[float, ...]  # one per selection run
     selected_run: int
-    eval_accuracies: tuple[float, ...]  # one per evaluation refit (mean over target files)
+    # one per evaluation, the mean over target files: of a refit, or in
+    # repredict mode of the selected model (so all entries are equal)
+    eval_accuracies: tuple[float, ...]
     mean_test_accuracy: float
     eval_file_accuracies: tuple[tuple[float, ...], ...]  # (evals, files) detail
 
@@ -111,21 +112,13 @@ def _adaptation_set(members: np.ndarray, n_source: int, routed: Sequence[int], c
     return np.concatenate([members, n_source + np.flatnonzero(np.asarray(routed) == c)])
 
 
-def _train_networks(stage: str, parts, sets_per_run, configs) -> list[list[LstmParams]]:
-    """Train one network per (cluster id, window indices) pair of every run,
-    all in one lockstep call, with the run's config seeded by
-    ``stage_seed(run seed, stage, cluster id)``.  The indices address the
-    windows of ``parts`` end to end, and every network trains from one array
-    of them: a lone part's own windows, or the parts joined once.  Returns
+def _train_networks(stage: str, X, y, sets_per_run, config: TrainConfig, seeds) -> list[list[LstmParams]]:
+    """Train one network per (cluster id, indices into ``X``) pair of every
+    run, all in one lockstep call with ``config``, the network of cluster c
+    in the run with seed s seeded by ``stage_seed(s, stage, c)``.  Returns
     the networks per run."""
-    jobs = [(c, idx, cfg) for sets, cfg in zip(sets_per_run, configs) for c, idx in sets]
-    parts = [as_window_set(part) for part in parts if len(part)]
-    if len(parts) == 1:
-        X, y = parts[0].X, parts[0].y
-    else:
-        X, y = np.concatenate([p.X for p in parts]), np.concatenate([p.y for p in parts])
-    seeded = [replace(cfg, seed=stage_seed(cfg.seed, stage, c)) for c, _, cfg in jobs]
-    params = iter(lstm_train_many(X, y, [idx for _, idx, _ in jobs], seeded))
+    jobs = [(stage_seed(seed, stage, c), idx) for sets, seed in zip(sets_per_run, seeds) for c, idx in sets]
+    params = iter(lstm_train_many(X, y, [idx for _, idx in jobs], config, [s for s, _ in jobs])[0])
     return [[next(params) for _ in sets] for sets in sets_per_run]
 
 
@@ -164,18 +157,19 @@ def adapt_experts(
     ends = np.cumsum([len(w) for w in source_windows_by_cluster])
     members = [np.arange(end - len(w), end) for w, end in zip(source_windows_by_cluster, ends)]
     sets = [(c, _adaptation_set(members[c], ends[-1], assignments, c)) for c in (e.cluster_id for e in experts)]
-    networks = _train_networks("adapt", [*source_windows_by_cluster, shots], [sets], [config])[0]
+    joined = WindowSet.concat([as_window_set(w) for w in [*source_windows_by_cluster, shots] if len(w)])
+    networks = _train_networks("adapt", joined.X, joined.y, [sets], config, [config.seed])[0]
     return [replace(e, expert_after=net) for e, net in zip(experts, networks)]
 
 
 def _fit_gates(
-    shots: Windows, routes: Sequence[Sequence[int]], n_clusters: int, l2: float
+    shots: WindowSet, routes: Sequence[Sequence[int]], n_clusters: int, l2: float
 ) -> list[SoftmaxRegressionParams]:
     """One gate per route (cluster ids of the shots, in shot order), each
     checked against the shots first.  A route into a single cluster gets the
     constant gate for that cluster; all other routes train in one
     ``softmax_train_many`` call, each bit-identical to its lone run."""
-    flats = as_window_set(shots).flat
+    flats = shots.flat
     ys = [check_labeled(flats, route, (None,), n_clusters, 0)[1] for route in routes]
     gates: list[SoftmaxRegressionParams | None] = [None] * len(ys)
     trained = []
@@ -187,7 +181,7 @@ def _fit_gates(
         bias[y[0]] = 0.0
         gates[i] = SoftmaxRegressionParams(weights=np.zeros((n_clusters, flats.shape[1])), bias=bias)
     if trained:
-        params = softmax_train_many(flats, np.stack([ys[i] for i in trained]), n_clusters, l2=l2)
+        params, _ = softmax_train_many(flats, np.stack([ys[i] for i in trained]), n_clusters, l2=l2)
         for i, gate in zip(trained, params):
             gates[i] = gate
     return gates
@@ -202,36 +196,37 @@ def fit_gate(shots: Windows, assignments: Sequence[int], n_clusters: int, l2: fl
     When every shot lands in one cluster the gate degenerates to a constant
     classifier for that cluster.
     """
-    return _fit_gates(shots, [assignments], n_clusters, l2)[0]
+    return _fit_gates(as_window_set(shots), [assignments], n_clusters, l2)[0]
 
 
 def _fit_staged(
     source: WindowSet,
     shots: WindowSet,
     k: int,
-    configs: Sequence[TrainConfig],
+    config: TrainConfig,
+    seeds: Sequence[int],
     stats: StandardizationStats | None,
     gate_l2: float,
 ) -> list[HierarchicalModel]:
-    """``fit`` once per config, stage by stage across the configs.
+    """``fit`` once per seed, stage by stage across the seeds.
 
-    GMM and routing run per config; the source experts of all configs train
-    in one ``lstm_train_many`` call, the gates in one ``softmax_train_many``
+    GMM and routing run per seed; the source experts of all seeds train in
+    one ``lstm_train_many`` call, the gates in one ``softmax_train_many``
     call, and the adapted experts in one more ``lstm_train_many`` call.
     Between the stages a cluster is an index array, never a copy of its
-    windows.  Each model is bit-identical to what a lone fit with its config
+    windows.  Each model is bit-identical to what a lone fit with its seed
     would build.
     """
     flats, n = source.flat, len(source)
     gmms, members = [], []
-    for cfg in configs:
-        gmms.append(gmm_fit(flats, k=k, seed=stage_seed(cfg.seed, "gmm")))
+    for seed in seeds:
+        gmms.append(gmm_fit(flats, k=k, seed=stage_seed(seed, "gmm")))
         assignment = gmm_assign(gmms[-1], flats)
         members.append([np.flatnonzero(assignment == c) for c in range(k)])
         sizes = [idx.size for idx in members[-1]]
         if 0 in sizes:
             raise ValueError(f"cluster {sizes.index(0)} received no source windows; retry with a different seed")
-    networks = _train_networks("expert", [source], [list(enumerate(m)) for m in members], configs)
+    networks = _train_networks("expert", source.X, source.y, [list(enumerate(m)) for m in members], config, seeds)
     experts = [
         [
             ClusterExpert(c, net, None, np.bincount(source.y[idx], minlength=5)[1:5])
@@ -246,15 +241,16 @@ def _fit_staged(
         for run_members, route in zip(members, routes)
     ]
     del members  # the sets hold them: one index array per cluster lives on through training
-    networks = _train_networks("adapt", [source, shots], sets, configs)
+    joined = WindowSet.concat([source, shots])
+    networks = _train_networks("adapt", joined.X, joined.y, sets, config, seeds)
     if stats is None:
         stats = StandardizationStats.identity(source.X.shape[2])
     return [
         HierarchicalModel(
             gmm=gmm, experts=tuple(replace(e, expert_after=net) for e, net in zip(run_experts, nets)), gate=gate,
-            stats=stats, shot_assignments=route, fit_seed=cfg.seed,
+            stats=stats, shot_assignments=route, fit_seed=seed,
         )
-        for gmm, run_experts, nets, gate, route, cfg in zip(gmms, experts, networks, gates, routes, configs)
+        for gmm, run_experts, nets, gate, route, seed in zip(gmms, experts, networks, gates, routes, seeds)
     ]
 
 
@@ -326,25 +322,26 @@ def _fit_many(
     source: WindowSet,
     shots: WindowSet,
     k: int,
-    configs: Sequence[TrainConfig],
+    config: TrainConfig,
+    seeds: Sequence[int],
     stats: StandardizationStats | None,
     gate_l2: float,
 ) -> list[HierarchicalModel]:
-    """``_fit_staged`` with the configs split across the available cores.
+    """``_fit_staged`` with the seeds split across the available cores.
 
-    The configs are cut into ``_worker_count`` contiguous chunks.  This
+    The seeds are cut into ``_worker_count`` contiguous chunks.  This
     process fits the first; each other chunk is fitted in a forked child,
     which inherits the inputs and pipes its pickled models back.  Every model
-    is computed exactly as in a single ``_fit_staged`` call over all configs
+    is computed exactly as in a single ``_fit_staged`` call over all seeds
     (each slice of a lockstep stack is the lone network's computation), so
     the result is bit-identical for any worker count.  Every child is read
     and reaped even when a chunk fails; the exception of the earliest failing
-    chunk, in config order, is raised.  A chunk whose fork fails is fitted
+    chunk, in seed order, is raised.  A chunk whose fork fails is fitted
     here.
     """
-    n, n_chunks = len(configs), _worker_count(len(configs))
-    chunks = [configs[i * n // n_chunks : (i + 1) * n // n_chunks] for i in range(n_chunks)]
-    fit_chunk = functools.partial(_fit_staged, source, shots, k, stats=stats, gate_l2=gate_l2)
+    n, n_chunks = len(seeds), _worker_count(len(seeds))
+    chunks = [seeds[i * n // n_chunks : (i + 1) * n // n_chunks] for i in range(n_chunks)]
+    fit_chunk = functools.partial(_fit_staged, source, shots, k, config, stats=stats, gate_l2=gate_l2)
 
     children = {}  # chunk index -> (pid, read end)
     try:
@@ -375,7 +372,7 @@ def fit(
     gate_l2: float = 1e-4,
 ) -> HierarchicalModel:
     """Run all stages once and assemble the full model."""
-    return _fit_many(as_window_set(source_windows), as_window_set(shots), k, [config], stats, gate_l2)[0]
+    return _fit_many(as_window_set(source_windows), as_window_set(shots), k, config, [config.seed], stats, gate_l2)[0]
 
 
 def predict_batch(model: HierarchicalModel, X: np.ndarray) -> np.ndarray:
@@ -442,7 +439,7 @@ def fit_selected(
 
     n_fits = runs + evals if eval_mode == "refit" else runs
     log.info("fit_selected fits=%d workers=%d", n_fits, _worker_count(n_fits))
-    models = _fit_many(source, shots, k, [replace(config, seed=config.seed + r) for r in range(n_fits)], stats, gate_l2)
+    models = _fit_many(source, shots, k, config, [config.seed + r for r in range(n_fits)], stats, gate_l2)
     shot_accs = [float(np.mean(predict_batch(m, shots.X) == shots.y)) for m in models[:runs]]
     best_model = models[int(np.argmax(shot_accs))]
 
@@ -501,8 +498,4 @@ def save_model(model: HierarchicalModel, path) -> None:
 def load_model(path) -> HierarchicalModel:
     """Read a ``save_model`` file; any error in it is a ``ValueError`` that
     names the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return from_json(HierarchicalModel, json.load(fh))
-    except ValueError as exc:  # json's decode errors and UnicodeDecodeError are ValueErrors too
-        raise ValueError(f"{os.fspath(path)}: {exc}") from None
+    return read_json(path, functools.partial(from_json, HierarchicalModel))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
 import types
 import typing
 
@@ -105,6 +106,16 @@ def from_json(cls, obj):
     if missing:
         raise ValueError(f"{cls.__name__}: missing keys {missing}")
     return cls(**{k: _decode(hint, obj[k], f"{cls.__name__}.{k}") for k, hint in hints.items() if k in obj})
+
+
+def read_json(path, build):
+    """``build`` applied to the JSON in the file ``path`` names.  An error in
+    the file's text or content is a ``ValueError`` that names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return build(json.load(fh))
+        except (ValueError, TypeError) as exc:  # json's decode errors and UnicodeDecodeError are ValueErrors too
+            raise ValueError(f"{os.fspath(path)}: {exc}") from None
 
 
 def _decode(hint, value, where: str):

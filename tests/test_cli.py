@@ -145,14 +145,14 @@ def test_misspelled_config_key_names_class_and_key(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"source": "a", "target": "b", "method": "lr", "epoch": 3}))
     assert main(["run", "--config", str(cfg_path)]) == 1
-    assert "noseda: error: ExperimentConfig: unexpected keys ['epoch']" in capsys.readouterr().err
+    assert f"noseda: error: {cfg_path}: ExperimentConfig: unexpected keys ['epoch']" in capsys.readouterr().err
 
 
 def test_config_without_source_names_class_and_key(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"target": "b", "method": "lr"}))
     assert main(["run", "--config", str(cfg_path)]) == 1
-    assert "noseda: error: ExperimentConfig: missing keys ['source']" in capsys.readouterr().err
+    assert f"noseda: error: {cfg_path}: ExperimentConfig: missing keys ['source']" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -228,14 +228,14 @@ def test_valid_config_with_missing_data_fails_at_ingest(tmp_path, capsys):
 )
 def test_out_of_range_config_fails_before_ingest(tmp_path, capsys, field, value, message):
     assert run_config_with_missing_data(tmp_path, **{field: value}) == 1
-    assert f"noseda: error: ExperimentConfig.{message}\n" in capsys.readouterr().err
+    assert f"noseda: error: {tmp_path / 'config.json'}: ExperimentConfig.{message}\n" in capsys.readouterr().err
 
 
 def test_synth_rejects_zero_subgroup_direction(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({**spec_dict(), "source_subgroups": 2, "subgroup_direction": [0, 0]}))
     assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "data")]) == 1
-    assert "noseda: error: subgroup_direction must be a unit vector" in capsys.readouterr().err
+    assert f"noseda: error: {spec_path}: subgroup_direction must be a unit vector" in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
 
 
@@ -245,5 +245,34 @@ def test_synth_rejects_non_finite_class_means(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))  # written as NaN, which json reads back
     assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "data")]) == 1
-    assert "noseda: error: class_means must be finite, got [[0.0, 0.0], [nan, 0.0]" in capsys.readouterr().err
+    assert f"noseda: error: {spec_path}: class_means must be finite, got [[0.0, 0.0], [nan, 0.0]" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_report_names_the_file_it_could_not_read(tmp_path, capsys):
+    # a generator spec beside the results, as ``noseda synth`` leaves one
+    write_result(tmp_path / "a.json")
+    (tmp_path / "spec.json").write_text(json.dumps({"class_means": [[0.0]], "x": 1}))
+    assert main(["report", "--in", str(tmp_path), "--out", str(tmp_path / "out" / "report")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"noseda: error: {tmp_path / 'spec.json'}: ExperimentResult: unexpected keys ['class_means', 'x']\n"
+
+
+def test_run_names_a_config_that_is_not_json(tmp_path, capsys):
+    cfg_path = tmp_path / "broken.json"
+    cfg_path.write_text("{'source': 'a'}")
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"noseda: error: {cfg_path}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
+
+
+def test_synth_names_a_spec_without_class_means(tmp_path, capsys):
+    spec = spec_dict()
+    del spec["class_means"]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "data")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"noseda: error: {spec_path}: ")
+    assert "missing 1 required positional argument: 'class_means'" in err
     assert not (tmp_path / "data").exists()

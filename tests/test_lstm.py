@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -280,12 +281,12 @@ class TestTrainMany:
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
     def test_matches_sequential_reference(self, rng, dropout):
         data = self.datasets(rng)
-        configs = [
-            TrainConfig(epochs=4, dropout=dropout, learning_rate=0.02, batch_size=16, seed=s) for s in (7, 1, 4, 1, 0)
-        ]
-        params, traces = lstm_train_many(*self.joined(data), configs, return_trace=True)
+        config = TrainConfig(epochs=4, dropout=dropout, learning_rate=0.02, batch_size=16, seed=99)
+        seeds = [7, 1, 4, 1, 0]
+        params, traces = lstm_train_many(*self.joined(data), config, seeds)
         assert len(params) == len(traces) == len(data)
-        for (X, y), cfg, p, trace in zip(data, configs, params, traces):
+        for (X, y), seed, p, trace in zip(data, seeds, params, traces):
+            cfg = replace(config, seed=seed)
             ref, ref_trace = sequential_train(X, y, cfg)
             single, single_trace = lstm_train(X, y, cfg, return_trace=True)
             for a, b, c in zip(p.arrays(), ref.arrays(), single.arrays()):
@@ -296,9 +297,9 @@ class TestTrainMany:
 
     def test_input_order_does_not_matter(self, rng):
         X, y, sets = self.joined(self.datasets(rng))
-        configs = [TrainConfig(epochs=2, dropout=0.2, batch_size=16, seed=s) for s in range(len(sets))]
-        forward = lstm_train_many(X, y, sets, configs)
-        backward = lstm_train_many(X, y, sets[::-1], configs[::-1])
+        config, seeds = TrainConfig(epochs=2, dropout=0.2, batch_size=16), list(range(len(sets)))
+        forward, _ = lstm_train_many(X, y, sets, config, seeds)
+        backward, _ = lstm_train_many(X, y, sets[::-1], config, seeds[::-1])
         for p, q in zip(forward, backward[::-1]):
             for a, b in zip(p.arrays(), q.arrays()):
                 assert np.array_equal(a, b)
@@ -318,13 +319,11 @@ class TestTrainMany:
     def test_each_network_trains_on_its_index_set(self, sets, batch_size, dropout, seed):
         X, y = separable_windows(np.random.default_rng(seed), n=20)
         sets = [np.array(idx) for idx in sets]
-        configs = [
-            TrainConfig(epochs=2, dropout=dropout, learning_rate=0.05, batch_size=batch_size, seed=seed + j)
-            for j in range(len(sets))
-        ]
-        params, traces = lstm_train_many(X, y, sets, configs, return_trace=True)
-        for idx, cfg, p, trace in zip(sets, configs, params, traces):
-            single, single_trace = lstm_train(X[idx], y[idx], cfg, return_trace=True)
+        config = TrainConfig(epochs=2, dropout=dropout, learning_rate=0.05, batch_size=batch_size)
+        seeds = [seed + j for j in range(len(sets))]
+        params, traces = lstm_train_many(X, y, sets, config, seeds)
+        for idx, s, p, trace in zip(sets, seeds, params, traces):
+            single, single_trace = lstm_train(X[idx], y[idx], replace(config, seed=s), return_trace=True)
             for a, b in zip(p.arrays(), single.arrays()):
                 assert same_bits(a, b)
             assert trace == single_trace
@@ -336,10 +335,10 @@ class TestTrainMany:
         d = 6
         X, y = separable_windows(rng, n=2000, d=d)
         sets = [rng.choice(2000, size=int(rng.integers(900, 1100)), replace=False) for _ in range(10)]
-        configs = [TrainConfig(epochs=2, dropout=0.2, batch_size=32, seed=s) for s in range(len(sets))]
+        config = TrainConfig(epochs=2, dropout=0.2, batch_size=32)
         tracemalloc.start()
         try:
-            lstm_train_many(X, y, sets, configs)
+            lstm_train_many(X, y, sets, config, list(range(len(sets))))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -347,37 +346,34 @@ class TestTrainMany:
         dropout = len(sets) * max(len(idx) for idx in sets) * HIDDEN_DIM * 8
         assert peak < windows + dropout, f"peak {peak / 1e6:.2f} MB"
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [("epochs", 3), ("batch_size", 8), ("learning_rate", 0.1), ("dropout", 0.5)],
-    )
-    def test_mixed_shared_settings_rejected(self, rng, field, value):
-        X, y, sets = self.joined(self.datasets(rng)[:3])
-        base = TrainConfig(epochs=2, dropout=0.2, learning_rate=0.01, batch_size=16)
-        configs = [base, replace(base, seed=1), replace(base, seed=2, **{field: value})]
-        with pytest.raises(ValueError, match=field):
-            lstm_train_many(X, y, sets, configs)
-
     def test_one_dataset_per_config(self, rng):
+        # one seed per index set
         X, y = separable_windows(rng, n=20)
         rows = np.arange(20)
-        with pytest.raises(ValueError):
-            lstm_train_many(X, y, [rows, rows], [TrainConfig(epochs=1)])
-        with pytest.raises(ValueError):
-            lstm_train_many(X, y, [], [])
+        with pytest.raises(ValueError, match="need one seed per index set, got 2 sets, 1 seeds"):
+            lstm_train_many(X, y, [rows, rows], TrainConfig(epochs=1), [0])
+        with pytest.raises(ValueError, match="need one seed per index set, got 0 sets, 0 seeds"):
+            lstm_train_many(X, y, [], TrainConfig(epochs=1), [])
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, True, "3", None])
+    def test_bad_seed_rejected(self, rng, seed):
+        X, y = separable_windows(rng, n=20)
+        rows = np.arange(20)
+        with pytest.raises(ValueError, match=re.escape(f"seed 1 must be a non-negative integer, got {seed!r}")):
+            lstm_train_many(X, y, [rows, rows], TrainConfig(epochs=1), [np.uint64(2**64 - 1), seed])
 
     def test_bad_member_rejected(self, rng):
         X, y = separable_windows(rng, n=20)
         rows = np.arange(20)
-        cfgs = [TrainConfig(epochs=1)] * 2
+        config, seeds = TrainConfig(epochs=1), [0, 0]
         with pytest.raises(ValueError, match="empty"):
-            lstm_train_many(X, y, [rows, rows[:0]], cfgs)
+            lstm_train_many(X, y, [rows, rows[:0]], config, seeds)
         with pytest.raises(ValueError, match="labels"):
-            lstm_train_many(X, y[:-1], [rows, rows], cfgs)
+            lstm_train_many(X, y[:-1], [rows, rows], config, seeds)
         bad = X.copy()
         bad[3, 1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            lstm_train_many(bad, y, [rows, rows[5:]], cfgs)
+            lstm_train_many(bad, y, [rows, rows[5:]], config, seeds)
 
 
 class TestConfig:

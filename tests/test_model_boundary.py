@@ -38,7 +38,7 @@ POOL = np.random.default_rng(1).normal(size=(3, 6))
 LABELED = {
     "lstm_loss_grad": ((2, 3), 1, lambda X, y: lstm_loss_grad(lstm_init(3), X, y)),
     "lstm_train": ((2, 3), 1, lambda X, y: lstm_train(X, y, ONE_EPOCH)),
-    "lstm_train_many": ((2, 3), 1, lambda X, y: lstm_train_many(X, y, [np.arange(len(X)), [4, 0, 0]], [ONE_EPOCH] * 2)),
+    "lstm_train_many": ((2, 3), 1, lambda X, y: lstm_train_many(X, y, [np.arange(len(X)), [4, 0, 0]], ONE_EPOCH, [0, 1])),
     "mlp_loss_grad": ((6,), 1, lambda X, y: mlp_loss_grad(mlp_init(6, hidden=(4, 4)), X, y)),
     "mlp_train": ((6,), 1, lambda X, y: mlp_train(X, y, ONE_EPOCH, hidden=(4, 4))),
     "softmax_loss_grad": ((6,), 0, lambda X, y: softmax_loss_grad(SOFTMAX, X, y)),
@@ -146,7 +146,7 @@ def test_lstm_train_many_bad_index_set(monkeypatch, bad, message):
     monkeypatch.setattr("noseda.nets.lstm.lstm_init", no_training)
     X, y = labeled_set((2, 3), 1)
     with pytest.raises(ValueError, match=re.escape(message)):
-        lstm_train_many(X, y, [np.arange(5), bad], [ONE_EPOCH] * 2)
+        lstm_train_many(X, y, [np.arange(5), bad], ONE_EPOCH, [0, 1])
 
 
 @pytest.mark.parametrize("name", PREDICT)

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -219,9 +219,9 @@ class TestAdaptation:
         seen = []
         real = pipeline_mod.lstm_train_many
 
-        def spy(X, y, index_sets, cfgs, **kw):
+        def spy(X, y, index_sets, config, seeds):
             seen.extend(len(idx) for idx in index_sets)
-            return real(X, y, index_sets, cfgs, **kw)
+            return real(X, y, index_sets, config, seeds)
 
         monkeypatch.setattr(pipeline_mod, "lstm_train_many", spy)
         source = [window(rng.normal(size=(2, 2)), 1 + i % 4) for i in range(100)]
@@ -325,14 +325,14 @@ class TestGatesInLockstep:
     def test_each_gate_is_its_lone_fit(self, rng):
         shots = windows_from_arrays(rng.normal(size=(16, 2, 3)), 1 + np.arange(16) % 4)
         routes = [[i % 2 for i in range(16)], [1] * 16, [int(i < 5) for i in range(16)], [2 - i % 3 for i in range(16)]]
-        gates = pipeline_mod._fit_gates(shots, routes, 3, 1e-4)
+        gates = pipeline_mod._fit_gates(as_window_set(shots), routes, 3, 1e-4)
         assert [model_to_json_bytes(g) for g in gates] == [model_to_json_bytes(fit_gate(shots, r, 3)) for r in routes]
 
     def test_every_route_is_checked(self, rng):
         shots = windows_from_arrays(rng.normal(size=(8, 2, 2)), 1 + np.arange(8) % 4)
         # the second route would build a constant gate
         with pytest.raises(ValueError, match=re.escape("labels must lie in 0..1, got range [2, 2]")):
-            pipeline_mod._fit_gates(shots, [[0, 1] * 4, [2] * 8], 2, 1e-4)
+            pipeline_mod._fit_gates(as_window_set(shots), [[0, 1] * 4, [2] * 8], 2, 1e-4)
 
     @pytest.mark.parametrize("shots_from", ["both clusters", "one cluster"])
     def test_one_lockstep_call_per_chunk(self, rng, monkeypatch, shots_from):
@@ -346,8 +346,8 @@ class TestGatesInLockstep:
             return real(X, labels, *args, **kwargs)
 
         monkeypatch.setattr(pipeline_mod, "softmax_train_many", recording)
-        configs = [replace(FAST, epochs=2, seed=s) for s in range(4)]
-        models = pipeline_mod._fit_staged(as_window_set(source), as_window_set(shots), 2, configs, None, 1e-4)
+        config = replace(FAST, epochs=2)
+        models = pipeline_mod._fit_staged(as_window_set(source), as_window_set(shots), 2, config, range(4), None, 1e-4)
         trained = sum(len(set(m.shot_assignments)) > 1 for m in models)
         assert calls == ([trained] if trained else [])
         assert trained == (4 if shots_from == "both clusters" else 0)
@@ -615,6 +615,38 @@ class TestSeedParallel:
             outputs.append((report, model_to_json_bytes(model)))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
+    # the fixtures persist across examples: each example clears ``forks``
+    # and forces its own worker counts
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        runs=st.integers(1, 4),
+        evals=st.integers(1, 3),
+        eval_mode=st.sampled_from(["refit", "repredict"]),
+        workers=st.integers(2, 3),
+        epochs=st.integers(1, 2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_any_forced_worker_count_gives_the_in_process_result(
+        self, monkeypatch, forks, runs, evals, eval_mode, workers, epochs, seed
+    ):
+        # about 40 windows: 24 source, 4 shots and 12 in two test pools
+        r = np.random.default_rng(seed)
+        ws = two_cluster_windows(r, n_per=12)
+        target = two_cluster_windows(r, n_per=4)
+        shots, pool = target[::4], [w for i, w in enumerate(target) if i % 4]
+        cfg = replace(FAST, epochs=epochs, seed=seed)
+        forks.clear()
+        outputs = []
+        for count in (1, workers):
+            monkeypatch.setattr(pipeline_mod, "_cpu_count", lambda: count)
+            model, report = fit_selected(
+                ws, shots, [pool[::2], pool[1::2]], k=2, runs=runs, evals=evals, config=cfg, eval_mode=eval_mode
+            )
+            outputs.append((report, model_to_json_bytes(model)))
+        assert len(forks) == min(workers, runs + evals if eval_mode == "refit" else runs) - 1
+        self.assert_reaped(forks)
+        assert outputs[1] == outputs[0]
+
     def test_failed_fork_fits_in_process(self, rng, monkeypatch):
         run = self.protocol(rng)
         monkeypatch.setattr(pipeline_mod, "_cpu_count", lambda: 1)
@@ -636,14 +668,14 @@ class TestSeedParallel:
         Every other chunk leaves a file in ``done_dir`` when it finishes."""
         real, parent = pipeline_mod._fit_staged, os.getpid()
 
-        def fit_chunk(source_windows, shots, k, configs, stats, gate_l2):
-            first = configs[0].seed - FAST.seed
+        def fit_chunk(source_windows, shots, k, config, seeds, stats, gate_l2):
+            first = seeds[0] - FAST.seed
             failure = failures.get(first)
             if isinstance(failure, int) and os.getpid() != parent:
                 os._exit(failure)
             if isinstance(failure, str):
                 raise ValueError(failure)
-            models = real(source_windows, shots, k, configs, stats, gate_l2)
+            models = real(source_windows, shots, k, config, seeds, stats, gate_l2)
             (done_dir / str(first)).touch()
             return models
 
@@ -738,6 +770,29 @@ class TestStructuralCollapse:
         Xt, yt = stack_windows(list(ws) + list(shots))
         plain = lstm_train(Xt, yt, replace(cfg, seed=stage_seed(cfg.seed, "adapt", 0)))
         assert np.array_equal(pipe_preds, lstm_predict(plain, X))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n_source=st.integers(4, 40),
+        n_shots=st.integers(1, 8),
+        d=st.integers(1, 3),
+        epochs=st.integers(1, 2),
+        batch_size=st.integers(1, 16),
+        dropout=st.sampled_from([0.0, 0.3]),
+        learning_rate=st.sampled_from([0.01, 0.1]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_k1_predicts_as_the_plain_lstm(self, n_source, n_shots, d, epochs, batch_size, dropout, learning_rate, seed):
+        r = np.random.default_rng(seed)
+        X = r.normal(size=(n_source + n_shots, 2, d))
+        y = r.integers(1, 5, size=len(X))
+        source, shots = windows_from_arrays(X[:n_source], y[:n_source]), windows_from_arrays(X[n_source:], y[n_source:])
+        cfg = TrainConfig(epochs=epochs, dropout=dropout, learning_rate=learning_rate, batch_size=batch_size, seed=seed)
+        test_X = 2.0 * r.normal(size=(50, 2, d))
+
+        model = fit(source, shots, k=1, config=cfg)
+        plain = lstm_train(X, y, replace(cfg, seed=stage_seed(cfg.seed, "adapt", 0)))
+        assert np.array_equal(predict_batch(model, test_X), lstm_predict(plain, test_X))
 
 
 class TestPersistence:

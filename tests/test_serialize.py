@@ -559,8 +559,26 @@ def test_non_finite_floats_still_load():
     assert from_json(ExperimentResult, json.loads(json.dumps(obj))).elapsed_seconds == float("inf")
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"file_names": ["a", "b"]}, "file_accuracies has 1 entries for 2 files"),
+        ({"file_macro_accuracies": [0.5, 0.5]}, "file_macro_accuracies has 2 entries for 1 files"),
+        ({"file_accuracies": [1.5]}, "file_accuracies 1.5 outside [0, 1]"),
+        ({"pair_accuracy": -0.25}, "pair_accuracy -0.25 outside [0, 1]"),
+        ({"file_macro_accuracies": [2.0]}, "file_macro_accuracies 2.0 outside [0, 1]"),
+        ({"pair_macro_accuracy": 9.0}, "pair_macro_accuracy 9.0 outside [0, 1]"),
+        ({"pair_macro_accuracy": float("nan")}, "pair_macro_accuracy nan outside [0, 1]"),
+    ],
+)
+def test_result_checks_its_accuracies_per_field(fields, message):
+    obj = {**json.loads(PARENT_RESULT), **fields}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        from_json(ExperimentResult, obj)
+
+
 def test_mistyped_config_value_fails_the_run(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"source": "a", "target": "b", "method": "lr", "epochs": "10"}))
     assert main(["run", "--config", str(cfg_path)]) == 1
-    assert "noseda: error: ExperimentConfig.epochs: expected int, got str" in capsys.readouterr().err
+    assert f"noseda: error: {cfg_path}: ExperimentConfig.epochs: expected int, got str" in capsys.readouterr().err

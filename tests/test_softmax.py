@@ -157,7 +157,7 @@ class TestTrainMany:
     @example((STALLED_X, STALLED_LABELS, 2, 1e-4, 500))
     def test_every_slice_is_the_lone_run(self, stack):
         X, labels, n_classes, l2, max_iter = stack
-        params, traces = softmax_train_many(X, labels, n_classes, l2=l2, max_iter=max_iter, return_trace=True)
+        params, traces = softmax_train_many(X, labels, n_classes, l2=l2, max_iter=max_iter)
         assert len(params) == len(traces) == len(labels)
         for y, got, trace in zip(labels, params, traces):
             lone, lone_trace = softmax_train(X, y, n_classes, l2=l2, max_iter=max_iter, return_trace=True)
