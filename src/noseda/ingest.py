@@ -10,6 +10,7 @@ boundaries.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -193,41 +194,75 @@ def load_csv(path, label_column: str = "label") -> SequenceDataset:
     integers in 1..4; the first offending data row (1-based) is reported
     otherwise.  Blank lines are skipped but still counted, both in row
     numbers and in the frames' ``t``.
+
+    Clean text is parsed in one ``np.loadtxt`` call (``_parse_text``).  Any
+    other text, and any text with a bad row, takes the ``csv`` row walk,
+    which reports the first bad row.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"dataset file not found: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        repeated = sorted({h for h in header if header.count(h) > 1})
-        if repeated:
-            raise ValueError(f"{path}: repeated column name(s) {repeated} in header")
-        if label_column not in header:
-            raise ValueError(f"{path}: no column named {label_column!r} in header {header}")
-        if len(header) == 1:
-            raise ValueError(f"{path}: no feature column besides {label_column!r}")
-        label_idx = header.index(label_column)
-        rows, row_nos = [], []
-        for row_no, row in enumerate(reader, start=1):
-            if not row or not "".join(row).strip():
-                continue
-            rows.append(row)
-            row_nos.append(row_no)
+        body = fh.read()  # the lines after the header
+    header = [h.strip() for h in header]
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise ValueError(f"{path}: repeated column name(s) {repeated} in header")
+    if label_column not in header:
+        raise ValueError(f"{path}: no column named {label_column!r} in header {header}")
+    if len(header) == 1:
+        raise ValueError(f"{path}: no feature column besides {label_column!r}")
+    label_idx = header.index(label_column)
+    features, labels, t = _parse_text(body, len(header), label_idx) or _parse_walk(path, body, header, label_idx)
+    feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+    return SequenceDataset(name=path.stem, feature_matrix=features, labels=labels, t=t, feature_names=feature_names)
+
+
+def _parse_text(body: str, n_cols: int, label_idx: int):
+    """The CSV lines after the header at once, by ``np.loadtxt``: the
+    features, labels and ``t`` as ``_parse_walk`` would return them, or None.
+
+    None when the lines could read otherwise as CSV rows (a quote or a lone
+    carriage return), when ``np.loadtxt`` refuses them, when a row fails the
+    checks, or when a line is blank: ``np.loadtxt`` skips an empty line,
+    which the row count then misses, and a whitespace-only line is one cell
+    where there are at least two.  The lines are split at ``\\n`` only, as
+    the row walk splits them.
+    """
+    if not body or body.isspace() or '"' in body or body.count("\r") != body.count("\r\n"):
+        return None  # no data rows (on which np.loadtxt would warn), or not clean
+    lines = body.removesuffix("\n").split("\n")
+    try:
+        cells = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if cells.shape != (len(lines), n_cols):
+        return None
+    checked = _check_cells(cells, label_idx)
+    return None if checked is None else (*checked, np.arange(len(cells)))
+
+
+def _parse_walk(path: Path, body: str, header: list[str], label_idx: int):
+    """The CSV lines after the header, one row at a time: the (N, d)
+    features, the (N,) labels and each row's ``t`` (its number among the
+    lines after the header, from 0, blank ones included).  Raises for the
+    first bad row, with its row number and, for a bad cell, its column."""
+    rows, row_nos = [], []
+    for row_no, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=1):  # the file's line breaks
+        if not row or not "".join(row).strip():
+            continue
+        rows.append(row)
+        row_nos.append(row_no)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     parsed = _parse_rows(rows, len(header), label_idx)
     if parsed is None:
         _raise_first_bad_row(path, header, label_idx, rows, row_nos)
-    features, labels = parsed
-    feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-    return SequenceDataset(
-        name=path.stem, feature_matrix=features, labels=labels, t=np.asarray(row_nos) - 1, feature_names=feature_names
-    )
+    return (*parsed, np.asarray(row_nos) - 1)
 
 
 def _parse_rows(rows: list[list[str]], n_cols: int, label_idx: int):
@@ -239,7 +274,12 @@ def _parse_rows(rows: list[list[str]], n_cols: int, label_idx: int):
         cells = np.fromiter(map(float, chain.from_iterable(rows)), dtype=np.float64, count=len(rows) * n_cols)
     except ValueError:
         return None
-    cells = cells.reshape(len(rows), n_cols)
+    return _check_cells(cells.reshape(len(rows), n_cols), label_idx)
+
+
+def _check_cells(cells: np.ndarray, label_idx: int):
+    """An (N, columns) float array split into finite features and int64
+    labels in 1..4, or None when a cell fails either check."""
     raw_labels = cells[:, label_idx]
     features = np.delete(cells, label_idx, axis=1)
     if not (np.all(np.isin(raw_labels, CLASS_LABELS)) and np.all(np.isfinite(features))):

@@ -82,8 +82,11 @@ def adam_update(p, g, m, v, c1, c2, lr, scratch) -> None:
     np.multiply(g, 1 - BETA2, out=s1)
     s1 *= g
     v += s1
-    np.divide(m, c1, out=s1)  # m_hat
-    s1 *= lr
+    if isinstance(c1, float) and c1 == 1.0:  # from step 356 on: m / 1.0 is m, bit for bit
+        np.multiply(m, lr, out=s1)
+    else:
+        np.divide(m, c1, out=s1)  # m_hat
+        s1 *= lr
     np.divide(v, c2, out=s2)  # v_hat
     np.sqrt(s2, out=s2)
     s2 += EPS

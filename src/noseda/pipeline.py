@@ -154,6 +154,11 @@ def adapt_experts(
     """
     if len(assignments) != len(shots):
         raise ValueError("assignments must cover all shots")
+    if len(source_windows_by_cluster) != len(experts):
+        raise ValueError(f"{len(source_windows_by_cluster)} source window sets for {len(experts)} experts")
+    for i, a in enumerate(assignments):
+        if not 0 <= a < len(experts):
+            raise ValueError(f"shot {i} is assigned to cluster {a}, outside 0..{len(experts) - 1}")
     ends = np.cumsum([len(w) for w in source_windows_by_cluster])
     members = [np.arange(end - len(w), end) for w, end in zip(source_windows_by_cluster, ends)]
     sets = [(c, _adaptation_set(members[c], ends[-1], assignments, c)) for c in (e.cluster_id for e in experts)]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noseda import baselines
 from noseda.baselines import (
     AdaBoostModel,
     Stump,
@@ -488,6 +489,12 @@ class TestSsStream:
             assert np.array_equal(state.pools[c], np.stack(replay[c]))
             assert state.deltas[c] == brute_min_pairwise(replay[c])
 
+    def test_empty_pool_rejected(self):
+        state = four_class_init([[0.0], [2.0]])
+        state.pools[3] = np.zeros((0, 1))
+        with pytest.raises(ValueError, match=r"empty pool for classes \[3\]"):
+            ss_classify_stream(state, np.array([[1.0]]))
+
     def test_pools_never_shrink(self, rng):
         X = rng.normal(size=(20, 2))
         y = np.concatenate([np.full(5, c) for c in (1, 2, 3, 4)])
@@ -555,5 +562,94 @@ class TestSsStreamProperties:
         assert preds == ref_preds
         for c in (1, 2, 3, 4):
             assert np.array_equal(state.pools[c], ref.pools[c])
+            assert state.deltas[c] == ref.deltas[c]
+            assert state.growth[c] == ref.growth[c]
+
+
+def reference_min_pairwise(pool):
+    """The pool delta row by row: each row's least distance to the rows after it."""
+    if len(pool) < 2:
+        return float("inf")
+    return min(float(np.sqrt(((pool[i + 1 :] - pool[i]) ** 2).sum(axis=1).min())) for i in range(len(pool) - 1))
+
+
+@st.composite
+def hard_rows(draw, n, d, seen):
+    """``n`` rows of width ``d`` where 1-NN shortlists go wrong: small-grid
+    points at one scale (ties), copies of earlier rows (duplicates, also
+    across classes) and copies nudged by 1 ulp, all shifted by a common
+    offset that makes |q|² + |p|² - 2 q·p cancel badly.  ``seen`` is a dict
+    holding the scale, offset and every row drawn so far."""
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["grid", "copy", "ulp"])) if seen["rows"] else "grid"
+        if kind == "grid":
+            cells = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+            row = np.array(cells, dtype=np.float64) * seen["scale"] + seen["offset"]
+        else:
+            row = seen["rows"][draw(st.integers(0, len(seen["rows"]) - 1))].copy()
+            if kind == "ulp":
+                j = draw(st.integers(0, d - 1))
+                row[j] = np.nextafter(row[j], draw(st.sampled_from([-np.inf, np.inf])))
+        seen["rows"].append(row)
+        rows.append(row)
+    return np.array(rows).reshape(n, d)
+
+
+def draw_geometry(data):
+    d = data.draw(st.sampled_from([1, 2, 3, 5, 8, 12]), label="d")
+    # below 1e-158 the squares are subnormal, and below ~1e-162 some round to zero
+    scale = 10.0 ** data.draw(st.one_of(st.integers(-5, 5), st.floats(-163, -158)), label="log10 scale")
+    offset = data.draw(st.sampled_from([0.0, 1e8]), label="offset")
+    return d, {"scale": scale, "offset": offset, "rows": []}
+
+
+class TestShortlistProperties:
+    """``_least_sq_distances`` and the two 1-NN entries built on it equal the
+    row-by-row expression bit for bit, whatever the block and chunk sizes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_group_minima_are_the_row_sums(self, data):
+        d, seen = draw_geometry(data)
+        sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4), label="group sizes")
+        P = data.draw(hard_rows(sum(sizes), d, seen), label="pool")
+        Q = data.draw(hard_rows(data.draw(st.integers(1, 6), label="queries"), d, seen), label="queries")
+        starts = np.cumsum([0, *sizes[:-1]])
+        ends = np.cumsum(sizes)
+        expected = [[((P[lo:hi] - q) ** 2).sum(axis=1).min() for lo, hi in zip(starts, ends)] for q in Q]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baselines, "_PAIR_BYTES", data.draw(st.sampled_from([8, 1 << 16]), label="pair bytes"))
+            got = baselines._least_sq_distances(Q, P, starts)
+        assert got.tobytes() == np.array(expected).tobytes()
+
+    def test_subnormal_squares_keep_their_bits(self):
+        # squares in the subnormal range each carry an absolute rounding error
+        # that no bound relative to |q| + |p| covers
+        s = 4.816339268193002e-163
+        P = np.array([[2.0, -4.0], [-2.0, -4.0], [2.0, -1.0], [4.0, -2.0]]) * s
+        q = np.array([-2.0, -2.0]) * s
+        got = baselines._least_sq_distances(q[None], P, (0,))
+        assert got[0, 0] == ((P - q) ** 2).sum(axis=1).min() == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_ss_init_and_stream_match_the_reference(self, data):
+        d, seen = draw_geometry(data)
+        sizes = data.draw(st.lists(st.integers(1, 5), min_size=4, max_size=4), label="pool sizes")
+        X = data.draw(hard_rows(sum(sizes), d, seen), label="source")
+        y = np.repeat([1, 2, 3, 4], sizes)
+        stream = data.draw(hard_rows(data.draw(st.integers(1, 20), label="stream"), d, seen), label="stream")
+        with pytest.MonkeyPatch.context() as mp:
+            for name, choices in (("_BLOCK_BYTES", [64, 1 << 19]), ("_PAIR_BYTES", [8, 1 << 16])):
+                mp.setattr(baselines, name, data.draw(st.sampled_from(choices), label=name))
+            state = ss_init(X, y)
+            for c in (1, 2, 3, 4):
+                assert state.deltas[c] == reference_min_pairwise(X[y == c])
+            preds = ss_classify_stream(state, stream)
+        ref = ss_init(X, y)
+        assert preds == reference_ss_stream(ref, stream)
+        for c in (1, 2, 3, 4):
+            assert state.pools[c].tobytes() == ref.pools[c].tobytes()
             assert state.deltas[c] == ref.deltas[c]
             assert state.growth[c] == ref.growth[c]

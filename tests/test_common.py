@@ -24,6 +24,16 @@ class TestAdamUpdate:
             ref = textbook_adam(*ref[:1], g, *ref[1:], t, 1e-3)
             assert np.array_equal(p, ref[0]) and np.array_equal(m, ref[1]) and np.array_equal(v, ref[2])
 
+    def test_late_steps_match_textbook(self, rng):
+        # from t = 356 on, 1 - 0.9**t is 1.0 and the update skips m / c1
+        assert 1 - 0.9**355 < 1.0 == 1 - 0.9**356
+        for t in (355, 356, 357, 5000):
+            p, m, v, g = rng.normal(size=(4, 6, 3))
+            v = np.abs(v)
+            expected = textbook_adam(p, g, m, v, t, 1e-3)
+            adam_update(p, g, m, v, 1 - 0.9**t, 1 - 0.999**t, 1e-3, (np.empty_like(p), np.empty_like(p)))
+            assert np.array_equal(p, expected[0]) and np.array_equal(m, expected[1]) and np.array_equal(v, expected[2])
+
     def test_per_row_t_matches_textbook_row_by_row(self, rng):
         # a stack of three models at different step counts
         p, m, v = rng.normal(size=(3, 3, 4, 2))

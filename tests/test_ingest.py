@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from noseda import write_dataset_csv
+from noseda import ingest, write_dataset_csv
 from noseda.ingest import (
     DEFAULT_DROP,
     STD_FLOOR,
@@ -127,6 +127,79 @@ class TestLoadCsv:
     def test_empty_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path)
+
+
+    @pytest.mark.filterwarnings("error")  # np.loadtxt warns on input with no data
+    def test_clean_rows_parse_in_bulk(self, tmp_path, monkeypatch):
+        bulk = []
+        real = ingest._parse_text
+        monkeypatch.setattr(ingest, "_parse_text", lambda *args: bulk.append(real(*args)) or bulk[-1])
+        p = tmp_path / "clean.csv"
+        p.write_text("MQ2, MQ3 ,label\r\n-1.5e-3, +2 ,1\r\n 4.9e-324,1E300, 4\r\n", newline="")
+        ds = load_csv(p)
+        assert bulk[-1] is not None
+        assert ds.feature_matrix.tolist() == [[-1.5e-3, 2.0], [5e-324, 1e300]]
+        assert ds.labels.tolist() == [1, 4] and ds.t.tolist() == [0, 1]
+        for text in ("x,label\n1_0,1\n", "x,label\n1,1\n\n2,2\n", "x,label\n1,1\r2,2\n", 'x,label\n"1",1\n'):
+            p.write_text(text, newline="")
+            load_csv(p)
+            assert bulk[-1] is None
+        # a form feed breaks a line for str.splitlines, never for CSV
+        p.write_text("x,label\n1,1\x0c2,2\n3,3\n", newline="")
+        with pytest.raises(ValueError, match="row 1 has 3 cells, expected 2"):
+            load_csv(p)
+        for text in ("x,label\r\n\r\n", "x,label\n \n\n"):
+            p.write_text(text, newline="")
+            with pytest.raises(ValueError, match="no data rows"):
+                load_csv(p)
+
+    @pytest.mark.filterwarnings("error")  # np.loadtxt warns on input with no data
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bulk_parse_equals_the_row_walk(self, data):
+        """Whatever the cells and line breaks, ``load_csv`` gives what the row
+        walk alone gives: the same bits, or the same error."""
+        cell = st.one_of(
+            FINITE.map(repr),
+            st.sampled_from(["1_0", "\u0661\u0662", "\u0663.5", "nan", "-nan", "1e500", "-1e500", "inf"]),
+            st.sampled_from([" 1.5 ", "\t-2", "+3", "-0", "1e-320", "2.5e-324", "1E5", ".5", "5.", "0x10"]),
+            st.sampled_from(["", " ", "1 2", "\u30001.5", "1.5\x0c", '"1.5"', "x"]),
+        )
+        label = st.sampled_from(["1", "2", "3", "4", " 2 ", "2.0", "+3", "4e0", "0", "5", "1.5", "nan", "\u0661"])
+        n_features = data.draw(st.integers(1, 3), label="features")
+        label_at = data.draw(st.integers(0, n_features), label="label column")
+        lines = []
+        for _ in range(data.draw(st.integers(0, 6), label="rows")):
+            # half the rows clean, so that files often parse in bulk
+            clean = data.draw(st.booleans(), label="clean row")
+            row = [data.draw(FINITE.map(repr) if clean else cell) for _ in range(n_features)]
+            row.insert(label_at, data.draw(st.sampled_from("1234") if clean else label))
+            lines.append(",".join(row))
+        if len(lines) > 1 and data.draw(st.booleans(), label="glue two rows"):
+            # one line that str.splitlines, but not CSV, reads as two rows
+            glue = data.draw(st.sampled_from(["\x0b", "\x0c", "\x1c", "\x85", "\u2028"]))
+            lines[:2] = [glue.join(lines[:2])]
+        for _ in range(data.draw(st.integers(0, 2), label="blank lines")):
+            lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(["", "", "  ", ",", "\u3000"])))
+        header = [f"s{j}" for j in range(n_features)]
+        header.insert(label_at, "label")
+        newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="line break")
+        text = newline.join([",".join(header), *lines]) + data.draw(st.sampled_from(["", newline]))
+
+        def outcome():
+            try:
+                ds = load_csv(path)
+            except ValueError as err:
+                return str(err)
+            return ds.feature_matrix.tobytes(), ds.labels.tolist(), ds.t.tolist(), ds.feature_names
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cells.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            got = outcome()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ingest, "_parse_text", lambda *args: None)
+                assert got == outcome()
 
 
 class TestHarmonize:

@@ -266,6 +266,18 @@ class TestAdaptation:
         with pytest.raises(ValueError):
             adapt_experts([bias_expert([0.25] * 4)], [[]], [window(np.zeros((2, 2)), 1)], [], FAST)
 
+    def test_assignment_outside_the_clusters_rejected(self, rng):
+        source = [window(rng.normal(size=(2, 2)), 1 + i % 4) for i in range(40)]
+        experts = [bias_expert([0.25] * 4, 0), bias_expert([0.25] * 4, 1)]
+        with pytest.raises(ValueError, match=r"shot 1 is assigned to cluster 5, outside 0\.\.1"):
+            adapt_experts(experts, [source[:20], source[20:]], source[:4], [0, 5, 0, 1], FAST)
+
+    def test_source_sets_must_match_the_experts(self, rng):
+        source = [window(rng.normal(size=(2, 2)), 1 + i % 4) for i in range(40)]
+        experts = [bias_expert([0.25] * 4, 0), bias_expert([0.25] * 4, 1)]
+        with pytest.raises(ValueError, match="1 source window sets for 2 experts"):
+            adapt_experts(experts, [source], source[:4], [0, 1, 0, 1], FAST)
+
 
 class TestGate:
     def test_single_cluster_constant_gate(self, rng):
