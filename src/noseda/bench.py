@@ -11,10 +11,12 @@ from __future__ import annotations
 import bisect
 import csv
 import hashlib
+import io
 import json
 import logging
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -38,7 +40,7 @@ from .nets.common import TrainConfig
 from .nets.lstm import lstm_predict, lstm_train
 from .nets.mlp import mlp_predict_labels, mlp_train
 from .nets.softmax_regression import softmax_predict_proba, softmax_train
-from .serialize import to_json
+from .serialize import to_json, write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -240,7 +242,8 @@ def write_dataset_csv(ds: SequenceDataset, path, label_column: str = "label") ->
     with ``\\r\\n`` line ends, the bytes ``csv.writer`` writes for these
     cells.  A header that ``load_csv`` would refuse or alter (a repeated name,
     a name with surrounding whitespace) and a non-finite feature raise
-    ``ValueError`` before ``path`` is opened.
+    ``ValueError`` before ``path`` is opened.  The rows go out a chunk at a
+    time through ``write_atomic``, so the file appears whole or not at all.
     """
     header = [*ds.feature_names, label_column]
     repeated = sorted({h for h in header if header.count(h) > 1})
@@ -253,13 +256,14 @@ def write_dataset_csv(ds: SequenceDataset, path, label_column: str = "label") ->
     if not np.isfinite(F).all():
         i, j = np.argwhere(~np.isfinite(F))[0]
         raise ValueError(f"{ds.name}: column {header[j]!r} row {i + 1} is {F[i, j]}; load_csv reads finite values only")
-    row = "%r," * F.shape[1] + "%s\r\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(header)
-        for start in range(0, len(ds), _CSV_CHUNK_ROWS):
-            stop = start + _CSV_CHUNK_ROWS
-            rows = zip(F[start:stop].tolist(), ds.labels[start:stop].tolist())
-            fh.write("".join([row % (*x, y) for x, y in rows]))
+    row, n = "%r," * F.shape[1] + "%s\r\n", _CSV_CHUNK_ROWS
+    head = io.StringIO()
+    csv.writer(head).writerow(header)
+    body = (
+        "".join([row % (*x, y) for x, y in zip(F[i : i + n].tolist(), ds.labels[i : i + n].tolist())])
+        for i in range(0, len(ds), n)
+    )
+    write_atomic(path, chain([head.getvalue()], body))
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +410,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         selection=selection,
     )
     if config.output:
-        Path(config.output).parent.mkdir(parents=True, exist_ok=True)
-        with open(config.output, "w", encoding="utf-8") as fh:
-            json.dump(to_json(result), fh, indent=2)
+        write_atomic(config.output, json.JSONEncoder(indent=2).iterencode(to_json(result)))
     return result
 
 
@@ -497,12 +499,8 @@ def emit_report(results: Sequence[ExperimentResult], out_base) -> tuple[Path, Pa
     if not results:
         raise ValueError("no results to report")
     out_base = Path(out_base)
-    out_base.parent.mkdir(parents=True, exist_ok=True)
-    json_path = out_base.with_suffix(".json")
-    table_path = out_base.with_suffix(".md")
-
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump({"results": [to_json(r) for r in results]}, fh, indent=2)
+    json_path, table_path = out_base.with_suffix(".json"), out_base.with_suffix(".md")
+    write_atomic(json_path, json.JSONEncoder(indent=2).iterencode({"results": [to_json(r) for r in results]}))
 
     cells = {(r.pair, r.method): r.pair_accuracy for r in results}
     pairs = list(dict.fromkeys(r.pair for r in results))
@@ -517,7 +515,7 @@ def emit_report(results: Sequence[ExperimentResult], out_base) -> tuple[Path, Pa
         lines.append(f"| {pair} | " + " | ".join(fmt(cells.get((pair, m))) for m in methods) + " |")
     avg_cells = [fmt(float(np.mean([cells[p, m] for p in pairs if (p, m) in cells]))) for m in methods]
     lines.append("| Avg | " + " | ".join(avg_cells) + " |")
-    table_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(table_path, (line + "\n" for line in lines))
     return json_path, table_path
 
 
@@ -553,7 +551,6 @@ def beef_grid(root, out_dir, methods: Sequence[str] = METHODS, seed: int = 0, **
     Writes one result JSON per cell plus a combined report under ``out_dir``.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     results = []
     for pair_name, sources, targets in beef_pairs(root):
         for method in methods:

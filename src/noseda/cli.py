@@ -19,7 +19,7 @@ from .bench import (
     synthesize_domains,
     write_dataset_csv,
 )
-from .serialize import from_json, read_json, to_json
+from .serialize import from_json, read_json, to_json, write_atomic
 
 
 def _cmd_run(args) -> int:
@@ -39,12 +39,10 @@ def _cmd_run(args) -> int:
 def _cmd_synth(args) -> int:
     spec = read_json(args.spec, lambda obj: SyntheticDomainSpec.create(**obj))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     source, target = synthesize_domains(spec)
     write_dataset_csv(source, out / "source.csv")
     write_dataset_csv(target, out / "target.csv")
-    with open(out / "spec.json", "w", encoding="utf-8") as fh:
-        json.dump(to_json(spec), fh, indent=2)
+    write_atomic(out / "spec.json", json.JSONEncoder(indent=2).iterencode(to_json(spec)))
     print(f"wrote {out / 'source.csv'} ({len(source)} frames) and {out / 'target.csv'} ({len(target)} frames)")
     return 0
 

@@ -14,7 +14,6 @@ import io
 import logging
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -187,27 +186,30 @@ class StandardizationStats:
 
 
 def load_csv(path, label_column: str = "label") -> SequenceDataset:
-    """Read one CSV file into a SequenceDataset.
+    """Read one UTF-8 CSV file, with or without a byte order mark, into a
+    SequenceDataset.
 
     The header names the columns; every column except ``label_column`` is a
     numeric feature, and there must be at least one.  Labels must be
     integers in 1..4; the first offending data row (1-based) is reported
     otherwise.  Blank lines are skipped but still counted, both in row
-    numbers and in the frames' ``t``.
+    numbers and in the frames' ``t``.  A byte that is not UTF-8 is reported
+    with the header or the data row that holds it.
 
-    Clean text is parsed in one ``np.loadtxt`` call (``_parse_text``).  Any
-    other text, and any text with a bad row, takes the ``csv`` row walk,
-    which reports the first bad row.
+    Clean text is parsed in one ``np.loadtxt`` call (``_parse_text``); any
+    other text takes the ``csv`` row walk (``_parse_walk``).
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             header = next(csv.reader(fh))
+            body = fh.read()  # the lines after the header
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        body = fh.read()  # the lines after the header
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
     header = [h.strip() for h in header]
     repeated = sorted({h for h in header if header.count(h) > 1})
     if repeated:
@@ -220,6 +222,21 @@ def load_csv(path, label_column: str = "label") -> SequenceDataset:
     features, labels, t = _parse_text(body, len(header), label_idx) or _parse_walk(path, body, header, label_idx)
     feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
     return SequenceDataset(name=path.stem, feature_matrix=features, labels=labels, t=t, feature_names=feature_names)
+
+
+def _not_utf8(path: Path) -> ValueError:
+    """The error for the file's first byte that is not UTF-8, naming the
+    header or the data row (numbered as ``_parse_walk`` numbers them) it is in."""
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")  # not utf-8-sig: its error positions skip the BOM
+    except UnicodeDecodeError as exc:
+        # the CSV rows of the text before the byte, the byte's own row included
+        before = raw[: exc.start].decode("utf-8") + "x"
+        row_no = sum(1 for _ in csv.reader(io.StringIO(before, newline=""))) - 1
+        where = f"row {row_no}" if row_no else "header"
+        return ValueError(f"{path}: {where}: byte {raw[exc.start]:#04x} is not UTF-8 ({exc.reason})")
+    return ValueError(f"{path}: not UTF-8 when first read, and changed since")
 
 
 def _parse_text(body: str, n_cols: int, label_idx: int):
@@ -242,55 +259,23 @@ def _parse_text(body: str, n_cols: int, label_idx: int):
         return None
     if cells.shape != (len(lines), n_cols):
         return None
-    checked = _check_cells(cells, label_idx)
-    return None if checked is None else (*checked, np.arange(len(cells)))
+    raw_labels = cells[:, label_idx]
+    features = np.delete(cells, label_idx, axis=1)
+    if not (np.all(np.isin(raw_labels, CLASS_LABELS)) and np.all(np.isfinite(features))):
+        return None
+    return features, raw_labels.astype(np.int64), np.arange(len(cells))
 
 
 def _parse_walk(path: Path, body: str, header: list[str], label_idx: int):
     """The CSV lines after the header, one row at a time: the (N, d)
     features, the (N,) labels and each row's ``t`` (its number among the
-    lines after the header, from 0, blank ones included).  Raises for the
-    first bad row, with its row number and, for a bad cell, its column."""
-    rows, row_nos = [], []
+    lines after the header, from 0, blank ones included).  Each row is
+    converted and checked as it is read; the first bad one raises, with its
+    row number and, for a bad cell, its column."""
+    features, labels, t = [], [], []
     for row_no, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=1):  # the file's line breaks
         if not row or not "".join(row).strip():
             continue
-        rows.append(row)
-        row_nos.append(row_no)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    parsed = _parse_rows(rows, len(header), label_idx)
-    if parsed is None:
-        _raise_first_bad_row(path, header, label_idx, rows, row_nos)
-    return (*parsed, np.asarray(row_nos) - 1)
-
-
-def _parse_rows(rows: list[list[str]], n_cols: int, label_idx: int):
-    """All cells at once: the (N, d) feature matrix and the (N,) labels, or
-    None when any row is malformed (the caller then finds it)."""
-    if any(len(row) != n_cols for row in rows):
-        return None
-    try:
-        cells = np.fromiter(map(float, chain.from_iterable(rows)), dtype=np.float64, count=len(rows) * n_cols)
-    except ValueError:
-        return None
-    return _check_cells(cells.reshape(len(rows), n_cols), label_idx)
-
-
-def _check_cells(cells: np.ndarray, label_idx: int):
-    """An (N, columns) float array split into finite features and int64
-    labels in 1..4, or None when a cell fails either check."""
-    raw_labels = cells[:, label_idx]
-    features = np.delete(cells, label_idx, axis=1)
-    if not (np.all(np.isin(raw_labels, CLASS_LABELS)) and np.all(np.isfinite(features))):
-        return None
-    return features, raw_labels.astype(np.int64)
-
-
-def _raise_first_bad_row(path: Path, header: list[str], label_idx: int, rows, row_nos) -> None:
-    """Walk the rows in file order and raise for the first bad one, with its
-    row number and, for a bad cell, its column."""
-    for row_no, row in zip(row_nos, rows):
         if len(row) != len(header):
             raise ValueError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
         raw_label = row[label_idx].strip()
@@ -300,6 +285,7 @@ def _raise_first_bad_row(path: Path, header: list[str], label_idx: int, rows, ro
             raise ValueError(f"{path}: row {row_no}: non-integer label {raw_label!r}") from None
         if label not in CLASS_LABELS or float(raw_label) != label:
             raise ValueError(f"{path}: row {row_no}: label {raw_label} outside {{1..4}}")
+        values = []
         for i, cell in enumerate(row):
             if i == label_idx:
                 continue
@@ -309,7 +295,13 @@ def _raise_first_bad_row(path: Path, header: list[str], label_idx: int, rows, ro
                 raise ValueError(f"{path}: row {row_no}: non-numeric value {cell!r} in column {header[i]!r}") from None
             if not math.isfinite(value):
                 raise ValueError(f"{path}: row {row_no}: non-finite value {cell!r} in column {header[i]!r}")
-    raise AssertionError("rows rejected in bulk but accepted one by one")
+            values.append(value)
+        features.append(values)
+        labels.append(label)
+        t.append(row_no - 1)
+    if not features:
+        raise ValueError(f"{path}: no data rows")
+    return np.array(features, dtype=np.float64), np.array(labels, dtype=np.int64), np.array(t, dtype=np.int64)
 
 
 def load_dataset(path, label_column: str = "label") -> list[SequenceDataset]:

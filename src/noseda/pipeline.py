@@ -21,7 +21,6 @@ import logging
 import os
 import pickle
 import signal
-import stat
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -32,7 +31,7 @@ from .ingest import StandardizationStats, Windows, WindowSet, as_window_set
 from .nets.common import TrainConfig, check_labeled
 from .nets.lstm import LstmParams, lstm_predict, lstm_predict_proba, lstm_train_many
 from .nets.softmax_regression import SoftmaxRegressionParams, softmax_predict_proba, softmax_train_many
-from .serialize import from_json, json_chunks, read_json
+from .serialize import from_json, json_chunks, read_json, write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -478,26 +477,9 @@ def model_digest(model: HierarchicalModel) -> str:
 
 
 def save_model(model: HierarchicalModel, path) -> None:
-    """Write ``model_to_json_bytes(model)`` to the file ``path`` names.
-
-    The bytes go to a new temporary file beside that file, which then
-    replaces it, so a save that fails part way leaves no truncated model
-    behind.  A symlink at ``path`` is followed, not replaced, and a replaced
-    file keeps its permission bits.
-    """
-    data = model_to_json_bytes(model)
-    target = os.path.realpath(path)
-    tmp = f"{target}.{os.urandom(8).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with open(fd, "wb") as fh:
-            if os.path.exists(target):
-                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
-            fh.write(data)
-        os.replace(tmp, target)
-    except BaseException:
-        os.remove(tmp)
-        raise
+    """Write ``model_to_json_bytes(model)`` to the file ``path`` names, whole
+    or not at all (``write_atomic``), a chunk at a time."""
+    write_atomic(path, json_chunks(model))
 
 
 def load_model(path) -> HierarchicalModel:

@@ -12,6 +12,8 @@ numpy code sees the data.
 ``json_chunks`` yields the canonical text of a value,
 ``json.dumps(to_json(obj), sort_keys=True)``, in pieces, so that a large
 model's bytes are built without first turning all of it into Python lists.
+``write_atomic`` writes such pieces to a file, whole or not at all; every
+file the package writes goes through it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import dataclasses
 import functools
 import json
 import os
+import stat
 import types
 import typing
 
@@ -116,6 +119,32 @@ def read_json(path, build):
             return build(json.load(fh))
         except (ValueError, TypeError) as exc:  # json's decode errors and UnicodeDecodeError are ValueErrors too
             raise ValueError(f"{os.fspath(path)}: {exc}") from None
+
+
+def write_atomic(path, chunks) -> None:
+    """Write the strings ``chunks`` yields, UTF-8 encoded and with no newline
+    translation, to the file ``path`` names, creating its directory.
+
+    The chunks go to a new temporary file beside that file, which then
+    replaces it, so a write that fails part way (the disk, or ``chunks``
+    raising) leaves any earlier file as it was and no truncated one.  A
+    symlink at ``path`` is followed, not replaced, and a replaced file keeps
+    its permission bits.
+    """
+    target = os.path.realpath(path)
+    os.makedirs(os.path.dirname(target), exist_ok=True)
+    tmp = f"{target}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            if os.path.exists(target):
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _decode(hint, value, where: str):

@@ -118,6 +118,30 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=re.escape("twofeatures.csv: repeated column name(s) ['s1']")):
             load_csv(p)
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_text("\ufefflabel,MQ2\n1,0.5\n2,1.5\n", encoding="utf-8")
+        ds = load_csv(p)
+        assert ds.feature_names == ("MQ2",) and ds.labels.tolist() == [1, 2]
+        p.write_text("\ufeffhumidity,MQ2,label\n40,0.5,1\n41,1.5,2\n", encoding="utf-8")
+        assert harmonize(load_csv(p)).feature_names == ("MQ2",)
+
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            (b"MQ2,lab\xffel\n1,1\n", "header"),
+            (b"\xef\xbb\xbfMQ2,label\n0.5,1\n\n1.\xff5,2\n", "row 3"),
+            (b'MQ2,label\n"0.5\n",1\n1.\xff5,2\n', "row 2"),  # a quoted line break starts no row
+            (b"MQ2,label\r\n" + b"0.5,1\r\n" * 5000 + b"1.5,\xff\r\n", "row 5001"),
+        ],
+        ids=["header", "row after a BOM and a blank line", "row after a quoted line break", "row 5001"],
+    )
+    def test_byte_not_utf8_names_the_file_and_row(self, tmp_path, data, where):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(data)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{p}: {where}: byte 0xff is not UTF-8 (invalid start byte)")):
+            load_csv(p)
+
     def test_directory_loads_lexicographically(self, tmp_path):
         for name in ("b.csv", "a.csv"):
             write_csv(tmp_path / name, ["x", "label"], [[0.0, 1], [1.0, 2]])

@@ -3,6 +3,7 @@ before the codec existed (results, configs, generator specs)."""
 
 import dataclasses
 import errno
+import itertools
 import json
 import re
 import stat
@@ -15,10 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from noseda import pipeline, serialize
+from noseda import serialize, write_dataset_csv
 from noseda.baselines import AdaBoostModel, Stump, adaboost_train, ss_init
-from noseda.bench import ExperimentConfig, ExperimentResult, SyntheticDomainSpec
-from noseda.cli import main
+from noseda.bench import ExperimentConfig, ExperimentResult, SyntheticDomainSpec, emit_report, run_experiment
+from noseda.cli import build_parser, main
 from noseda.gmm import GmmParams, VAR_FLOOR
 from noseda.ingest import StandardizationStats
 from noseda.nets.lstm import LstmParams, lstm_init
@@ -33,6 +34,8 @@ from noseda.pipeline import (
     save_model,
 )
 from noseda.serialize import from_json, json_chunks, to_json
+
+from conftest import dataset_from_arrays
 
 # Files as the hand-written per-class encoders wrote them (``noseda synth`` and
 # ``noseda run``), re-rendered without indentation: json.dumps(..., indent=2)
@@ -285,6 +288,13 @@ def test_model_bytes_and_file_agree(tmp_path):
     assert (tmp_path / "mlp.json").read_bytes() == data
 
 
+def test_save_streams_the_model_bytes(tmp_path):
+    model = big_mlp()
+    size = len(model_to_json_bytes(model))
+    _, peak = traced_peak(lambda: save_model(model, tmp_path / "mlp.json"))
+    assert peak < size / 2, f"save peak {peak / size:.2f}x the model's bytes"
+
+
 def test_large_model_bytes_stay_within_a_few_copies():
     # the whole-model json.dumps listed every number first and peaked at ~5x the bytes
     model = big_mlp()
@@ -340,10 +350,12 @@ def test_undecodable_file_names_itself(tmp_path):
 
 
 class FullDisk:
-    """A file whose first write stores half of its bytes, then fails as a full disk does."""
+    """A file whose write number ``fail_at`` (the first by default) stores
+    half of its text, then fails as a full disk does."""
 
-    def __init__(self, fd, mode):
-        self.fh = open(fd, mode)
+    def __init__(self, fd, mode, fail_at=1, **kwargs):
+        self.fh = open(fd, mode, **kwargs)
+        self.writes_before_failure = fail_at - 1
 
     def __enter__(self):
         return self
@@ -352,6 +364,9 @@ class FullDisk:
         self.fh.close()
 
     def write(self, data):
+        if self.writes_before_failure:
+            self.writes_before_failure -= 1
+            return self.fh.write(data)
         self.fh.write(data[: len(data) // 2])
         self.fh.flush()
         raise OSError(errno.ENOSPC, "No space left on device")
@@ -361,7 +376,7 @@ def test_failed_save_keeps_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "model.json"
     save_model(make_model(), path)
     old = path.read_bytes()
-    monkeypatch.setattr(pipeline, "open", FullDisk, raising=False)
+    monkeypatch.setattr(serialize, "open", FullDisk, raising=False)
     with pytest.raises(OSError, match="No space left"):
         save_model(make_model(k=3), path)
     assert path.read_bytes() == old
@@ -369,7 +384,7 @@ def test_failed_save_keeps_the_old_file(tmp_path, monkeypatch):
 
 
 def test_failed_save_leaves_no_file(tmp_path, monkeypatch):
-    monkeypatch.setattr(pipeline, "open", FullDisk, raising=False)
+    monkeypatch.setattr(serialize, "open", FullDisk, raising=False)
     with pytest.raises(OSError):
         save_model(make_model(), tmp_path / "model.json")
     assert list(tmp_path.iterdir()) == []
@@ -409,6 +424,67 @@ def test_threads_saving_one_path_leave_one_whole_model(tmp_path):
         sys.setswitchinterval(interval)
     assert path.read_bytes() in [model_to_json_bytes(m) for m in models]
     assert [f.name for f in tmp_path.iterdir()] == ["model.json"]
+
+
+def synth(out, seed):
+    """``noseda synth`` of PARENT_SPEC with ``seed``, an error raised as it is."""
+    spec = out.parent / f"spec{seed}.json"
+    spec.write_text(json.dumps({**json.loads(PARENT_SPEC), "seed": seed}))
+    args = build_parser().parse_args(["synth", "--spec", str(spec), "--out", str(out)])
+    args.func(args)
+
+
+def one_result(seed):
+    return ExperimentResult(
+        pair="p", method="lr", file_names=("t",), file_accuracies=(0.5,), pair_accuracy=0.5,
+        file_macro_accuracies=(0.5,), pair_macro_accuracy=0.5, elapsed_seconds=seed, model_digest="d", config={},
+    )
+
+
+# every write of the package: (the file under test, how many files the call
+# writes before it, which of its writes fails, the call writing version ``v`` into ``out``)
+WRITES = {
+    "save_model": ("model.json", 0, 2, lambda out, data, v: save_model(make_model(k=v + 1), out / "model.json")),
+    "write_dataset_csv": (  # the failure comes with the second 4096-row chunk
+        "frames.csv", 0, 3, lambda out, data, v: write_dataset_csv(
+            dataset_from_arrays(np.full((5000, 2), v + 0.5), np.arange(5000) % 4 + 1), out / "frames.csv"
+        ),
+    ),
+    "run_experiment": ("result.json", 0, 2, lambda out, data, v: run_experiment(ExperimentConfig(
+        source=(str(data / "source.csv"),), target=(str(data / "target.csv"),), method="lr", epochs=1 + v,
+        output=str(out / "result.json"),
+    ))),
+    "emit_report json": ("report.json", 0, 2, lambda out, data, v: emit_report([one_result(v)], out / "report")),
+    "emit_report md": ("report.md", 1, 2, lambda out, data, v: emit_report([one_result(v)], out / "report")),
+    "noseda synth spec.json": ("spec.json", 2, 2, lambda out, data, v: synth(out, v)),
+}
+
+
+@pytest.mark.parametrize("old", [True, False], ids=["over an old file", "into no file"])
+@pytest.mark.parametrize("site", WRITES)
+def test_a_failed_write_leaves_the_file_whole_or_absent(site, old, tmp_path, monkeypatch):
+    name, files_before, fail_at, write = WRITES[site]
+    data, out = tmp_path / "data", tmp_path / "out"
+    synth(data, 0)  # run_experiment's input
+    if old:
+        write(out, data, 0)
+    before = (out / name).read_bytes() if old else None
+    opened = itertools.count()
+
+    def fill_disk(file, mode="r", **kwargs):  # reads pass through
+        if mode == "w" and next(opened) == files_before:
+            return FullDisk(file, mode, fail_at, **kwargs)
+        return open(file, mode, **kwargs)
+
+    monkeypatch.setattr(serialize, "open", fill_disk, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write(out, data, 1)
+    if old:
+        assert (out / name).read_bytes() == before
+    else:
+        assert not (out / name).exists()
+    assert sorted(tmp_path.rglob("*.tmp")) == []
+
 
 
 def parent_format(obj):
