@@ -359,15 +359,11 @@ def _split_targets(files: Sequence[WindowSet], per_class: int, seed: int) -> tup
     return split.shots, [pool[pool.file_id == f] for f in range(len(files))]
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Ingest both domains, fit the configured method, score each target file.
-
-    Baselines lr/adaboost/dnn/lstm train on source windows plus the few
-    labeled target shots; ss trains on the source alone and grows during the
-    per-file test stream; ours runs the full selection protocol.  Test-pool
-    labels are consumed exclusively by accuracy bookkeeping.
-    """
-    t0 = time.perf_counter()
+def _ingest(config: ExperimentConfig):
+    """Load, check, standardize and window both domains and split the
+    targets: returns (source windows, shots, per-file test pools, stats,
+    target file names).  The loaded and standardized datasets and the
+    per-file windows die with this call, before any fit starts."""
     source_sets = _load_domain(config.source, config)
     target_sets = _load_domain(config.target, config)
     first = source_sets[0]
@@ -392,9 +388,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 f"target file {ds.name!r} has no test windows: the few-shot split (per_class={config.per_class}) "
                 f"took all of its {len(windows)} window(s) as shots"
             )
+    return source, shots, test_pools, stats, tuple(ds.name for ds in target_sets)
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Ingest both domains, fit the configured method, score each target file.
+
+    Baselines lr/adaboost/dnn/lstm train on source windows plus the few
+    labeled target shots; ss trains on the source alone and grows during the
+    per-file test stream; ours runs the full selection protocol.  Test-pool
+    labels are consumed exclusively by accuracy bookkeeping.
+    """
+    t0 = time.perf_counter()
+    source, shots, test_pools, stats, file_names = _ingest(config)
     model_bytes, file_accs, file_macros, selection = _run_method(config, source, shots, test_pools, stats)
 
-    file_names = tuple(ds.name for ds in target_sets)
     pair = config.name or f"{'+'.join(Path(p).stem for p in config.source)}-{'+'.join(Path(p).stem for p in config.target)}"
     result = ExperimentResult(
         pair=pair,

@@ -57,10 +57,14 @@ class GmmParams:
 def _log_joint(params: GmmParams, X: np.ndarray) -> np.ndarray:
     """(n, k) matrix of log(pi_k) + log N(x_i ; mu_k, diag(var_k))."""
     const = -0.5 * np.log(2.0 * np.pi * params.variances).sum(axis=1)  # (k,)
-    d = X[:, None, :] - params.means  # (n, k, p), squared and scaled in place
-    np.square(d, out=d)
-    d /= params.variances
-    quad = -0.5 * d.sum(axis=2)
+    quad = np.empty((X.shape[0], params.k))
+    d = np.empty_like(X)  # one component's scaled squares at a time, in place
+    for j in range(params.k):
+        np.subtract(X, params.means[j], out=d)
+        np.square(d, out=d)
+        d /= params.variances[j]
+        np.add.reduce(d, axis=1, out=quad[:, j])
+    quad *= -0.5
     return np.log(params.weights) + const + quad
 
 

@@ -245,14 +245,18 @@ def _parse_text(body: str, n_cols: int, label_idx: int):
 
     None when the lines could read otherwise as CSV rows (a quote or a lone
     carriage return), when ``np.loadtxt`` refuses them, when a row fails the
-    checks, or when a line is blank: ``np.loadtxt`` skips an empty line,
-    which the row count then misses, and a whitespace-only line is one cell
-    where there are at least two.  The lines are split at ``\\n`` only, as
-    the row walk splits them.
+    checks, or when a blank line comes before a data row: ``np.loadtxt``
+    skips an empty line, which the row count then misses, and a
+    whitespace-only line is one cell where there are at least two.  Blank
+    lines after the last data row move no row number and no ``t``, so they
+    are cut first.  The lines are split at ``\\n`` only, as the row walk
+    splits them.
     """
     if not body or body.isspace() or '"' in body or body.count("\r") != body.count("\r\n"):
         return None  # no data rows (on which np.loadtxt would warn), or not clean
-    lines = body.removesuffix("\n").split("\n")
+    lines = body.split("\n")
+    while not lines[-1].strip():  # a line that is not blank ends the loop
+        lines.pop()
     try:
         cells = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:

@@ -86,12 +86,14 @@ def lstm_init(input_dim: int, seed: int = 0) -> LstmParams:
     )
 
 
-def _forward(params: LstmParams, X: np.ndarray, drop: np.ndarray | None = None):
-    """Batched forward pass over (..., B, 2, d) windows.
+def _forward(params: LstmParams, X: np.ndarray, drop: np.ndarray | None = None, cache: dict | None = None):
+    """Batched forward pass over (..., B, 2, d) windows; returns the class
+    probabilities.
 
-    Returns (probs, cache) with everything BPTT needs.  ``X`` and the
-    parameter arrays may share a leading model axis.  The initial state is
-    zero, so the first step has no recurrent term and no ``f * c_prev``.
+    Given a ``cache`` dict, it also keeps there everything BPTT needs; without
+    one, each timestep's activations are freed when the step is done.  ``X`` and the parameter arrays may share a leading model axis.
+    The initial state is zero, so the first step has no recurrent term and no
+    ``f * c_prev``.
     """
     h = params.hidden_dim
     b = params.b[..., None, :]
@@ -105,23 +107,26 @@ def _forward(params: LstmParams, X: np.ndarray, drop: np.ndarray | None = None):
         z += b
         ifo = sigmoid(z[..., : 3 * h])  # elementwise, so one call equals three
         g = np.tanh(z[..., 3 * h :])
+        del z  # without a cache, each array is freed once the step is past it
         c = ifo[..., :h] * g
         if cs is not None:
             c += ifo[..., h : 2 * h] * cs
         hc = np.tanh(c)
         hs, cs = ifo[..., 2 * h :] * hc, c
-        steps.append({"x": xt, "ifo": ifo, "g": g, "c": c, "hc": hc, "h": hs})
+        if cache is not None:
+            steps.append({"x": xt, "ifo": ifo, "g": g, "c": c, "hc": hc, "h": hs})
+        del ifo, g, hc
     h_final = hs if drop is None else hs * drop
     logits = h_final @ params.w_out
     logits += params.b_out[..., None, :]
     log_probs = log_softmax(logits)
-    cache = {"steps": steps, "h_last": hs, "h_final": h_final, "logits": logits, "log_probs": log_probs}
-    return np.exp(log_probs), cache
+    if cache is not None:
+        cache.update(steps=steps, h_last=hs, h_final=h_final, logits=logits, log_probs=log_probs)
+    return np.exp(log_probs)
 
 
 def lstm_predict_proba(params: LstmParams, X: np.ndarray) -> np.ndarray:
-    probs, _ = _forward(params, check_inputs(X, (2, params.input_dim)))
-    return probs
+    return _forward(params, check_inputs(X, (2, params.input_dim)))
 
 
 def lstm_predict(params: LstmParams, X: np.ndarray) -> np.ndarray:
@@ -167,7 +172,8 @@ def _loss_grad(params: LstmParams, X: np.ndarray, y: np.ndarray, drop: np.ndarra
     """
     B = X.shape[-3]
     h = params.hidden_dim
-    probs, cache = _forward(params, X, drop)
+    cache = {}
+    probs = _forward(params, X, drop, cache)
     log_probs = cache["log_probs"]
     # the flat position of each window's true class: its log-probability is
     # the loss term, and its probability less one the logit gradient
@@ -302,9 +308,11 @@ def lstm_train_many(
     # each epoch's shuffled rows of X for every model, so that a step's
     # batches are slices of one index array
     idx_ep = np.zeros((M, n[0]), dtype=np.intp)
-    # each epoch's dropout draws, turned into its masks in place: one call per
-    # network right after its permutation is the same stream as one per batch
-    drop_ep = np.zeros((M, n[0], HIDDEN_DIM)) if p > 0.0 else None
+    # each epoch's dropout keep flags, drawn through one reused buffer: one
+    # call per network right after its permutation is the same stream as one
+    # per batch
+    keep_ep = np.zeros((M, n[0], HIDDEN_DIM), dtype=bool) if p > 0.0 else None
+    draws = np.empty((n[0], HIDDEN_DIM)) if p > 0.0 else None
     # the parameter views of every group of the schedule (Adam updates them in place)
     subs = {(a, b): LstmParams(*(v[a:b] for v in views)) for _, a, b, _ in schedule}
     traces = [[] for _ in range(M)]
@@ -312,17 +320,16 @@ def lstm_train_many(
     for _ in range(epochs):
         for j, (idx, rng) in enumerate(zip(sets, rngs)):
             perm = rng.permutation(n[j])
-            if drop_ep is not None:
-                rng.random((n[j], HIDDEN_DIM), out=drop_ep[j, : n[j]])
+            if keep_ep is not None:
+                rng.random((n[j], HIDDEN_DIM), out=draws[: n[j]])
+                np.greater_equal(draws[: n[j]], p, out=keep_ep[j, : n[j]])
             idx_ep[j, : n[j]] = idx[perm]
-        if drop_ep is not None:
-            np.greater_equal(drop_ep, p, out=drop_ep)  # 1.0 where kept, else 0.0
-            drop_ep /= 1.0 - p
         totals = np.zeros(M)
         for lo, a, b, length in schedule:
             batch = slice(lo, lo + length)
             rows = idx_ep[a:b, batch]
-            drop = None if drop_ep is None else drop_ep[a:b, batch]
+            # 0.0, or 1.0 / (1.0 - p) where kept: the bits of dropout_mask
+            drop = None if keep_ep is None else keep_ep[a:b, batch] / (1.0 - p)
             loss = _loss_grad(subs[a, b], X[rows], y[rows], drop, grad[a:b])
             t[a:b] += 1
             c = corrections[t[a:b]]

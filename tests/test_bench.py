@@ -4,6 +4,7 @@ import itertools
 import json
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -556,6 +557,41 @@ class TestRunExperiment:
         cfg = quick_config(str(tmp_path / "source.csv"), str(tdir), method, per_class=60)
         with pytest.raises(ValueError, match=r"target file 'b' has no test windows: .*all of its 1 window\(s\)"):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_ingest_copies_are_gone_when_the_fit_starts(self, tmp_path, monkeypatch, standardize):
+        # only the source windows, the shots and the per-file test pools live
+        # through the fit: every loaded, standardized and windowed copy of the
+        # files is freed, by reference counting alone, before _run_method runs
+        source, target = synthesize_domains(simple_spec(source_length=60, target_length=60, seed=5))
+        sdir, tdir = tmp_path / "sources", tmp_path / "targets"
+        for folder, ds in ((sdir, source), (tdir, target)):
+            folder.mkdir()
+            for name in ("a.csv", "b.csv"):
+                write_dataset_csv(ds, folder / name)
+        made = []
+
+        def tracked(fn):
+            def call(*args):
+                out = fn(*args)
+                made.append((fn.__name__, weakref.ref(out)))
+                return out
+
+            return call
+
+        for name in ("harmonize", "apply_standardizer", "make_windows"):
+            monkeypatch.setattr(bench, name, tracked(getattr(bench, name)))
+        run_method = bench._run_method
+
+        def check_then_run(*args):
+            alive = [name for name, ref in made if ref() is not None]
+            assert not alive, f"alive when the fit starts: {alive}"
+            return run_method(*args)
+
+        monkeypatch.setattr(bench, "_run_method", check_then_run)
+        result = run_experiment(quick_config(str(sdir), str(tdir), "lr", standardize=standardize))
+        assert [name for name, _ in made] == ["harmonize"] * 4 + ["apply_standardizer"] * 4 + ["make_windows"] * 4
+        assert result.file_names == ("a", "b")
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 import noseda.gmm as gmm_mod
@@ -198,6 +200,31 @@ class TestPosterior:
         X = rng.normal(size=(20, 2))
         assert np.array_equal(2 - gmm_assign(params, X), gmm_assign(flipped, X))
         assert gmm_log_likelihood(flipped, X) == pytest.approx(gmm_log_likelihood(params, X), abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        k=st.integers(1, 5),
+        p=st.integers(1, 20),
+        scale=st.floats(-6.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_log_joint_equals_the_broadcast_expression(self, n, k, p, scale, seed):
+        # the E-step scales one component's squares at a time; the oracle is
+        # the textbook expression over all (n, k, p) of them at once
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, p)) * 10.0**scale
+        weights = rng.random(k) + 0.1
+        params = GmmParams(
+            weights=weights / weights.sum(),
+            means=rng.normal(size=(k, p)) * 10.0**scale,
+            variances=10.0 ** rng.uniform(-6.0, 6.0, size=(k, p)) + 1e-6,
+        )
+        const = -0.5 * np.log(2.0 * np.pi * params.variances).sum(axis=1)
+        quad = -0.5 * ((X[:, None, :] - params.means) ** 2 / params.variances).sum(axis=2)
+        expected = np.log(params.weights) + const + quad
+        got = gmm_mod._log_joint(params, X)
+        assert np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match=r"expected windows of shape \(n, 2\), got \(1, 3\)"):

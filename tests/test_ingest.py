@@ -177,6 +177,19 @@ class TestLoadCsv:
             with pytest.raises(ValueError, match="no data rows"):
                 load_csv(p)
 
+    @pytest.mark.parametrize("end", ["\n\n", "\r\n\r\n", "\n  \n", "\n\t\n\n"])
+    def test_trailing_blank_lines_parse_in_bulk(self, tmp_path, monkeypatch, end):
+        def walk(*args):
+            raise AssertionError("took the row walk")
+
+        monkeypatch.setattr(ingest, "_parse_walk", walk)
+        p = tmp_path / "trailing.csv"
+        newline = "\r\n" if "\r" in end else "\n"
+        p.write_text(newline.join(["MQ2,label", "0.5,1", "1.5,2"]) + end, newline="")
+        ds = load_csv(p)
+        assert ds.feature_matrix.tolist() == [[0.5], [1.5]]
+        assert ds.labels.tolist() == [1, 2] and ds.t.tolist() == [0, 1]
+
     @pytest.mark.filterwarnings("error")  # np.loadtxt warns on input with no data
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -208,7 +221,8 @@ class TestLoadCsv:
         header = [f"s{j}" for j in range(n_features)]
         header.insert(label_at, "label")
         newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="line break")
-        text = newline.join([",".join(header), *lines]) + data.draw(st.sampled_from(["", newline]))
+        end = data.draw(st.sampled_from(["", newline, "\n\n", "\r\n\r\n", "\n  \n"]), label="file end")
+        text = newline.join([",".join(header), *lines]) + end
 
         def outcome():
             try:

@@ -69,7 +69,8 @@ class TestForward:
             h_s = o * math.tanh(c_s)
 
         X = np.array([[[x1], [x2]]])
-        probs, cache = _forward(params, X)
+        cache = {}
+        probs = _forward(params, X, cache=cache)
         assert np.abs(cache["h_last"][0] - h_s).max() < 1e-12
         assert np.abs(cache["steps"][1]["c"][0] - c_s).max() < 1e-12
         # equal head weights make the logits identical, hence uniform output
@@ -96,11 +97,47 @@ class TestForward:
         )
         X = np.ones((1, 2, 2))
         full = lstm_predict_proba(params, X)
-        assert np.array_equal(full, _forward(params, X)[0])
-        masked, _ = _forward(params, X, np.zeros((1, 4)))
+        assert np.array_equal(full, _forward(params, X))
+        masked = _forward(params, X, np.zeros((1, 4)))
         # zero mask kills the hidden state: logits fall back to the (zero) bias
         assert np.allclose(masked, 0.25, atol=1e-12)
         assert not np.allclose(full, masked)
+
+    @pytest.mark.parametrize("M", [None, 3])
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_inference_equals_the_training_forward_bit_for_bit(self, rng, M, dropout):
+        # without a cache the forward keeps no timestep's arrays, and its
+        # probabilities are still the training forward's, for a lone network
+        # and for a stack on a leading model axis
+        lead = () if M is None else (M,)
+        d, B = 3, 50
+        params = LstmParams(
+            wx=rng.normal(size=lead + (d, 16)), wh=rng.normal(size=lead + (4, 16)), b=rng.normal(size=lead + (16,)),
+            w_out=rng.normal(size=lead + (4, 4)), b_out=rng.normal(size=lead + (4,)),
+        )
+        X = rng.normal(size=lead + (B, 2, d))
+        drop = dropout_mask(rng, lead + (B, 4), 0.3) if dropout else None
+        cache = {}
+        trained = _forward(params, X, drop, cache)
+        inferred = _forward(params, X, drop)
+        assert cache["steps"] and same_bits(inferred, trained)
+        if M is None and not dropout:
+            assert same_bits(lstm_predict_proba(params, X), trained)
+
+    def test_inference_peak_memory(self, rng):
+        # 2000 windows, d=6: 1332 KB with every timestep's activations kept
+        # for BPTT, 689 KB without them
+        d, B = 6, 2000
+        params = replace(lstm_init(d, seed=1), w_out=rng.normal(size=(4, 4)))
+        X = rng.normal(size=(B, 2, d))
+        lstm_predict_proba(params, X)
+        tracemalloc.start()
+        try:
+            lstm_predict_proba(params, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * 8 * B, f"peak {peak / 1024:.0f} KB"
 
 
 class TestTrain:
@@ -257,7 +294,8 @@ class TestLoss:
         for seed in range(5):
             params = replace(lstm_init(3, seed=seed), b=0.3 * rng.normal(size=16), w_out=rng.normal(size=(4, 4)))
             X, y = separable_windows(rng, n=int(rng.integers(1, 40)))
-            _, cache = _forward(params, X)
+            cache = {}
+            _forward(params, X, cache=cache)
             log_probs = log_softmax(cache["logits"])
             assert lstm_loss_grad(params, X, y)[0] == float(-log_probs[np.arange(len(y)), y - 1].mean())
 
@@ -345,6 +383,24 @@ class TestTrainMany:
         windows = sum(len(idx) for idx in sets) * 2 * d * 8
         dropout = len(sets) * max(len(idx) for idx in sets) * HIDDEN_DIM * 8
         assert peak < windows + dropout, f"peak {peak / 1e6:.2f} MB"
+
+    def test_dropout_flags_take_a_byte_each(self, rng):
+        # a 10-network stack of ~1000 windows each: the epoch's dropout draws
+        # are kept as bool flags next to one network's float draws, so dropout
+        # adds ~90 KB to the peak where float64 masks added ~340 KB (each
+        # dropout's second, warmed-up run counts)
+        X, y = separable_windows(rng, n=2000, d=6)
+        sets = [rng.choice(2000, size=int(rng.integers(900, 1100)), replace=False) for _ in range(10)]
+        peaks = {}
+        for dropout in (0.0, 0.2, 0.0, 0.2):
+            tracemalloc.start()
+            try:
+                lstm_train_many(X, y, sets, TrainConfig(epochs=1, dropout=dropout), list(range(len(sets))))
+                peaks[dropout] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        float_masks = len(sets) * max(len(idx) for idx in sets) * HIDDEN_DIM * 8
+        assert peaks[0.2] - peaks[0.0] < float_masks / 2, f"peaks {peaks}, float64 masks {float_masks} bytes"
 
     def test_one_dataset_per_config(self, rng):
         # one seed per index set
