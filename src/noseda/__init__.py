@@ -21,10 +21,8 @@ from .bench import (
     ExperimentConfig,
     ExperimentResult,
     SyntheticDomainSpec,
-    accuracy,
     beef_grid,
     emit_report,
-    macro_accuracy,
     run_experiment,
     synthesize_domains,
     write_dataset_csv,

@@ -1,8 +1,8 @@
 """Non-neural baselines: SAMME AdaBoost over decision stumps and a four-way
 self-growing 1-nearest-neighbour classifier.
 
-Both operate on flattened window vectors; callers flatten 2 x d windows
-before training (see ``ingest.flatten_windows``).  Every public entry checks
+Both operate on flattened window vectors; callers pass ``WindowSet.flat``,
+the (n, 2d) view of their 2 x d windows.  Every public entry checks
 its vectors, and its labels (integers in 1..4), with the two helpers of
 ``nets.common``, as the networks do.
 """

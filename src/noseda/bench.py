@@ -1,5 +1,5 @@
 """Experiment harness: configs, the seeded two-domain synthetic generator,
-accuracy metrics, and matrix-style reporting.
+per-method training and scoring, and matrix-style reporting.
 
 An experiment is one (source, target) dataset pair and one method.  The
 target contributes 4 labeled windows per class to training; everything else
@@ -48,27 +48,6 @@ METHODS = ("ours", "lr", "adaboost", "ss", "dnn", "lstm")
 
 _METHOD_DISPLAY = {"lr": "LR", "adaboost": "AB", "ss": "SS", "dnn": "DNN", "lstm": "LSTM", "ours": "Ours"}
 _REPORT_ORDER = ("lr", "adaboost", "ss", "dnn", "lstm", "ours")
-
-
-def accuracy(predictions, labels) -> float:
-    """Fraction of exact matches."""
-    p = np.asarray(predictions)
-    y = np.asarray(labels)
-    if p.shape != y.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {y.shape}")
-    if p.size == 0:
-        raise ValueError("empty prediction list")
-    return float(np.mean(p == y))
-
-
-def macro_accuracy(predictions, labels) -> float:
-    """Mean per-class recall over the classes present in ``labels``."""
-    p = np.asarray(predictions)
-    y = np.asarray(labels)
-    if p.shape != y.shape or p.size == 0:
-        raise ValueError("predictions and labels must be nonempty and equal-length")
-    recalls = [float(np.mean(p[y == c] == c)) for c in sorted(set(y.tolist()))]
-    return float(np.mean(recalls))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +376,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Baselines lr/adaboost/dnn/lstm train on source windows plus the few
     labeled target shots; ss trains on the source alone and grows during the
     per-file test stream; ours runs the full selection protocol.  Test-pool
-    labels are consumed exclusively by accuracy bookkeeping.
+    labels are read only by ``pipeline.score_table``.
     """
     t0 = time.perf_counter()
     source, shots, test_pools, stats, file_names = _ingest(config)
@@ -475,22 +454,19 @@ _METHODS = {
 def _run_method(config, source_windows, shots, test_pools, stats):
     """Returns (model_bytes, per-file accuracies, per-file macro accuracies, selection dict).
 
-    Windows come as WindowSets or WindowSample lists.  ``ours`` takes its
-    per-file accuracies from the selection protocol's evaluations; its macro
-    accuracies, like every baseline's scores, come from predicting each test
-    pool once with the returned model.
+    Windows come as WindowSets or WindowSample lists.  Every score comes from
+    ``pipeline.score_table``.  The returned model is scored once per test
+    pool: its accuracies are a baseline's per-file accuracies, and its macro
+    accuracies are every method's.  ``ours`` takes its per-file accuracies
+    from the selection protocol's evaluations instead: the means over the
+    ``evals`` refits, or over ``evals`` copies of the selected model's row.
     """
     train, predict = _METHODS[config.method]
     pools = [as_window_set(p) for p in test_pools]
     model, report = train(config, as_window_set(source_windows), as_window_set(shots), pools, stats)
-    preds = [predict(model, p) for p in pools]
-    file_macros = [macro_accuracy(p, pool.y) for p, pool in zip(preds, pools)]
-    if report is None:
-        file_accs, selection = [accuracy(p, pool.y) for p, pool in zip(preds, pools)], None
-    else:
-        file_accs = [float(a) for a in np.asarray(report.eval_file_accuracies).mean(axis=0)]
-        selection = to_json(report)
-    return pipeline.model_to_json_bytes(model), file_accs, file_macros, selection
+    scores = pipeline.score_table(predict, [model], pools)[0]
+    file_accs = scores[:, 0] if report is None else np.asarray(report.eval_file_accuracies).mean(axis=0)
+    return pipeline.model_to_json_bytes(model), file_accs.tolist(), scores[:, 1].tolist(), to_json(report)
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,26 @@ def predict_batch(model: HierarchicalModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
+def score_table(predict, models: Sequence, pools: Sequence[WindowSet]) -> np.ndarray:
+    """Each model's accuracy and macro accuracy on each pool: a (models,
+    pools, 2) float64 array, from one ``predict(model, pool)`` call per pair.
+    Accuracy is the fraction of predictions equal to ``pool.y``; macro
+    accuracy is the mean per-class recall over the classes present in
+    ``pool.y``.  An empty pool, or predictions not shaped like its labels,
+    is a ``ValueError``."""
+    table = np.empty((len(models), len(pools), 2))
+    for i, model in enumerate(models):
+        for j, pool in enumerate(pools):
+            y = pool.y
+            if y.size == 0:
+                raise ValueError(f"pool {j} is empty")
+            p = np.asarray(predict(model, pool))
+            if p.shape != y.shape:
+                raise ValueError(f"pool {j}: predictions of shape {p.shape} for labels of shape {y.shape}")
+            table[i, j] = np.mean(p == y), np.mean([np.mean(p[y == c] == c) for c in np.unique(y)])
+    return table
+
+
 def fit_selected(
     source_windows: Windows,
     shots: Windows,
@@ -415,8 +435,8 @@ def fit_selected(
     experts), and keeps the argmax run.  Then reports test accuracy from
     ``evals`` further fits with fresh seeds ("refit" mode, the default) or
     from re-evaluating the selected model ("repredict" mode, where a
-    deterministic model yields identical entries).  Test labels are touched
-    only by the accuracy bookkeeping, never by any fit.  Every test pool
+    deterministic model yields identical entries).  Test labels are read
+    only by ``score_table``, never by any fit.  Every test pool
     must hold a window: no pool, or an empty one, is a ``ValueError`` raised
     before any fit.
 
@@ -444,26 +464,26 @@ def fit_selected(
     n_fits = runs + evals if eval_mode == "refit" else runs
     log.info("fit_selected fits=%d workers=%d", n_fits, _worker_count(n_fits))
     models = _fit_many(source, shots, k, config, [config.seed + r for r in range(n_fits)], stats, gate_l2)
-    shot_accs = [float(np.mean(predict_batch(m, shots.X) == shots.y)) for m in models[:runs]]
-    best_model = models[int(np.argmax(shot_accs))]
 
-    def file_accuracies(m: HierarchicalModel) -> tuple[float, ...]:
-        return tuple(float(np.mean(predict_batch(m, p.X) == p.y)) for p in pools)
+    def predict(model: HierarchicalModel, windows: WindowSet) -> np.ndarray:
+        return predict_batch(model, windows.X)
 
-    if eval_mode == "refit":
-        eval_file_accs = [file_accuracies(m) for m in models[runs:]]
-    else:  # the selected model is deterministic: score it once
-        eval_file_accs = [file_accuracies(best_model)] * evals
+    shot_accs = score_table(predict, models[:runs], [shots])[:, 0, 0].tolist()
+    selected = int(np.argmax(shot_accs))
+    # the selected model is deterministic: in repredict mode its one row stands for every evaluation
+    scored = models[runs:] if eval_mode == "refit" else [models[selected]]
+    rows = [tuple(row) for row in score_table(predict, scored, pools)[:, :, 0].tolist()]
+    eval_file_accs = rows if eval_mode == "refit" else rows * evals
     eval_accs = [float(np.mean(f)) for f in eval_file_accs]
 
     report = SelectionReport(
         shot_accuracies=tuple(shot_accs),
-        selected_run=int(np.argmax(shot_accs)),
+        selected_run=selected,
         eval_accuracies=tuple(eval_accs),
         mean_test_accuracy=float(np.mean(eval_accs)),
         eval_file_accuracies=tuple(eval_file_accs),
     )
-    return best_model, report
+    return models[selected], report
 
 
 def model_to_json_bytes(model) -> bytes:

@@ -5,13 +5,14 @@ import json
 import re
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noseda import bench
+from noseda import bench, pipeline
 from noseda.bench import (
     ExperimentConfig,
     ExperimentResult,
@@ -19,10 +20,8 @@ from noseda.bench import (
     _generate_domain,
     _run_method,
     _split_targets,
-    accuracy,
     beef_pairs,
     emit_report,
-    macro_accuracy,
     run_experiment,
     synthesize_domains,
     write_dataset_csv,
@@ -38,6 +37,7 @@ from noseda.ingest import (
     make_windows,
     sample_few_shot,
 )
+from noseda.nets.softmax_regression import softmax_train
 from noseda.serialize import from_json, to_json
 
 from conftest import dataset_from_arrays, window
@@ -63,35 +63,77 @@ def simple_spec(**overrides):
     return SyntheticDomainSpec.create(**kwargs)
 
 
+def scores(preds, labels):
+    """``pipeline.score_table``'s (accuracy, macro accuracy) of a stub model
+    that predicts ``preds`` on a pool labelled ``labels``."""
+    pool = SimpleNamespace(y=np.asarray(labels, dtype=np.int64))
+    return tuple(pipeline.score_table(lambda model, _: np.asarray(model), [preds], [pool])[0, 0])
+
+
+def macro_reference(p, y):
+    """Mean per-class recall over the classes present in ``y``, as the
+    package computed it before ``score_table``."""
+    recalls = [float(np.mean(p[y == c] == c)) for c in sorted(set(y.tolist()))]
+    return float(np.mean(recalls))
+
+
 class TestAccuracy:
+    """``pipeline.score_table``, the package's one scorer, through stub models."""
+
     def test_identical(self):
-        assert accuracy([1, 2, 3], [1, 2, 3]) == 1.0
+        assert scores([1, 2, 3], [1, 2, 3])[0] == 1.0
 
     def test_disjoint(self):
-        assert accuracy([1, 1], [2, 2]) == 0.0
+        assert scores([1, 1], [2, 2])[0] == 0.0
 
     def test_hand_count(self):
-        assert accuracy([1, 2, 3, 4], [1, 2, 4, 4]) == 0.75
+        assert scores([1, 2, 3, 4], [1, 2, 4, 4])[0] == 0.75
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            accuracy([1], [1, 2])
+        with pytest.raises(ValueError, match="shape"):
+            scores([1], [1, 2])
 
     def test_empty(self):
-        with pytest.raises(ValueError):
-            accuracy([], [])
+        with pytest.raises(ValueError, match="empty"):
+            scores([], [])
 
     def test_permutation_invariant(self, rng):
         preds = rng.integers(1, 5, 50)
         labels = rng.integers(1, 5, 50)
         order = rng.permutation(50)
-        assert accuracy(preds, labels) == accuracy(preds[order], labels[order])
+        assert scores(preds, labels) == scores(preds[order], labels[order])
 
     def test_macro_averages_per_class_recall(self):
         preds = [1, 1, 1, 2]
         labels = [1, 1, 2, 2]
         ## class 1 recall 1.0, class 2 recall 0.5
-        assert macro_accuracy(preds, labels) == pytest.approx(0.75)
+        assert scores(preds, labels)[1] == pytest.approx(0.75)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), st.lists(st.integers(1, 30), min_size=1, max_size=3), st.data())
+    def test_columns_equal_the_reference_expressions_bit_for_bit(self, n_models, sizes, data):
+        def draw_labels(n):
+            return np.asarray(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), dtype=np.int64)
+
+        pools = [SimpleNamespace(y=draw_labels(n), index=j) for j, n in enumerate(sizes)]
+        preds = [[draw_labels(n) for n in sizes] for _ in range(n_models)]
+        table = pipeline.score_table(lambda m, pool: preds[m][pool.index], range(n_models), pools)
+        assert table.shape == (n_models, len(sizes), 2) and table.dtype == np.float64
+        for m in range(n_models):
+            for j, pool in enumerate(pools):
+                assert table[m, j, 0] == np.mean(preds[m][j] == pool.y)
+                assert table[m, j, 1] == macro_reference(preds[m][j], pool.y)
+
+    def test_predict_runs_once_per_model_and_pool(self):
+        calls = []
+
+        def predict(model, pool):
+            calls.append((model, pool.index))
+            return pool.y
+
+        pools = [SimpleNamespace(y=np.array([1, 2, 3]), index=j) for j in range(3)]
+        pipeline.score_table(predict, ["a", "b"], pools)
+        assert sorted(calls) == [(m, j) for m in "ab" for j in range(3)]
 
 
 class TestPerFilePools:
@@ -631,6 +673,39 @@ class TestFeatureColumnsAgree:
             self.run_with(tmp_path, monkeypatch, [("a.csv", ("s1", "s2", "s3"))], ("s1", "s2", "x"))
 
 
+def labelled_windows(rng, labels):
+    """A WindowSet of 2-feature windows scattered around 2 * label."""
+    labels = np.asarray(labels, dtype=np.int64)
+    X = rng.normal(size=(len(labels), 2, 2)) + 2.0 * labels[:, None, None]
+    return WindowSet(X, labels, np.arange(len(labels)), np.zeros(len(labels), dtype=np.int64))
+
+
+def changed_pools(pools, relabel, orders, keeps):
+    """Each pool reordered by its order, cut to its first ``keep`` windows,
+    and relabelled: label c becomes ``relabel[c - 1]``."""
+    changed = []
+    for pool, order, keep in zip(pools, orders, keeps):
+        kept = pool[np.asarray(order)[:keep]]
+        changed.append(WindowSet(kept.X, np.asarray(relabel)[kept.y - 1], kept.origin_t, kept.file_id))
+    return changed
+
+
+def assert_no_leak(cfg, source, shots, pools, changed):
+    """``_run_method`` fits the same model with test pools ``pools`` and
+    ``changed``, and ``ours`` makes the same selection from the same shot
+    accuracies."""
+    stats = StandardizationStats.identity(2)
+    before = _run_method(cfg, source, shots, pools, stats)
+    after = _run_method(cfg, source, shots, changed, stats)
+    assert before[0] == after[0], f"{cfg.method}: the model bytes depend on the test pools"
+    if before[3] is not None:
+        for key in ("shot_accuracies", "selected_run"):
+            assert before[3][key] == after[3][key], f"{cfg.method}: {key} depends on the test pools"
+
+
+TINY = dict(source=("unused",), target=("unused",), seed=0, k=2, runs=2, evals=1, epochs=1, batch_size=16, n_estimators=5)
+
+
 class TestNoLeak:
     """Test-pool labels must never reach any fit stage."""
 
@@ -656,6 +731,62 @@ class TestNoLeak:
         poisoned_bytes, poisoned_accs, _, _ = _run_method(cfg, source, shots, [poisoned_pool], stats)
         assert clean_bytes == poisoned_bytes
         assert clean_accs != poisoned_accs  # the labels did change what accuracy measures
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.permutations([1, 2, 3, 4]), st.data())
+    def test_pool_labels_order_and_size_never_reach_a_fit(self, seed, n_pools, relabel, data):
+        rng = np.random.default_rng(seed)
+        source = labelled_windows(rng, 1 + np.arange(40) % 4)
+        shots = labelled_windows(rng, 1 + np.arange(8) % 4)
+        pools = [labelled_windows(rng, rng.integers(1, 5, 8)) for _ in range(n_pools)]
+        orders = [data.draw(st.permutations(range(len(pool)))) for pool in pools]
+        keeps = [data.draw(st.integers(1, len(pool))) for pool in pools]
+        changed = changed_pools(pools, relabel, orders, keeps)
+        for method in bench.METHODS:
+            assert_no_leak(ExperimentConfig(method=method, **TINY), source, shots, pools, changed)
+
+    def test_the_check_fails_a_trainer_that_reads_a_pool_label(self, rng, monkeypatch):
+        def leaky(config, source, shots, pools, stats):  # also fits on the first test window
+            w = WindowSet.concat([source, shots, pools[0][:1]])
+            return softmax_train(w.flat, w.y - 1, 4, l2=config.l2), None
+
+        monkeypatch.setitem(bench._METHODS, "lr", (leaky, bench._METHODS["lr"][1]))
+        source = labelled_windows(rng, 1 + np.arange(40) % 4)
+        shots = labelled_windows(rng, 1 + np.arange(8) % 4)
+        pools = [labelled_windows(rng, [1, 2, 3, 4])]
+        changed = changed_pools(pools, [2, 3, 4, 1], [range(4)], [4])
+        with pytest.raises(AssertionError, match="model bytes"):
+            assert_no_leak(ExperimentConfig(method="lr", **TINY), source, shots, pools, changed)
+
+
+class TestOursScores:
+    def test_repredict_file_accuracies_average_copies_of_the_selected_row(self, rng, monkeypatch):
+        """In repredict mode ``ours``' file accuracies are the means over
+        ``evals`` copies of the selected model's score row, not the row:
+        the two can differ in the last bit (7/10 against the mean of three
+        7/10s here)."""
+        calls = []
+
+        def planted(model, X):  # right on the test windows whose first value is below 107
+            calls.append(len(X))
+            return np.where(X[:, 0, 0] < 107, 1, 2)
+
+        monkeypatch.setattr(pipeline, "predict_batch", planted)
+        source = labelled_windows(rng, 1 + np.arange(40) % 4)
+        shots = labelled_windows(rng, 1 + np.arange(8) % 4)
+        X = np.full((10, 2, 2), 100.0) + np.arange(10)[:, None, None]
+        pool = WindowSet(X, np.ones(10, dtype=np.int64), np.arange(10), np.zeros(10, dtype=np.int64))
+        cfg = ExperimentConfig(method="ours", **{**TINY, "evals": 3, "eval_mode": "repredict"})
+        _, file_accs, _, selection = _run_method(cfg, source, shots, [pool], StandardizationStats.identity(2))
+        # one prediction per selection run on the shots, one of the pool for the
+        # report, and one more of the pool for the macro column
+        assert calls == [8, 8, 10, 10]
+
+        row = pipeline.score_table(lambda model, w: planted(model, w.X), [None], [pool])[0, :, 0].tolist()
+        assert row == [0.7]
+        assert selection["eval_file_accuracies"] == [row] * 3
+        assert file_accs == np.asarray([row] * 3).mean(axis=0).tolist()
+        assert file_accs != row
 
 
 class TestRunMethodInputs:
