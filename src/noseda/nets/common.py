@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,15 @@ N_CLASSES = 4
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+
+
+def cpu_count() -> int:
+    """Cores this process may run on, or 1 where it cannot fork workers.
+    ``fit_selected`` forks one fit worker per core beyond the first, and
+    ``mlp_train`` runs a helper thread when this exceeds 1."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 @dataclass(frozen=True)

@@ -7,17 +7,22 @@ mini-batches, seeded determinism, zero-initialized softmax head).
 
 from __future__ import annotations
 
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .common import (
+    BETA1,
+    BETA2,
     N_CLASSES,
-    Adam,
     TrainConfig,
+    adam_update,
     check_inputs,
     check_labeled,
     class_positions,
+    cpu_count,
     flat_views,
     flatten_arrays,
     log_softmax,
@@ -120,11 +125,25 @@ def mlp_predict_labels(params: MlpParams, X: np.ndarray) -> np.ndarray:
     return np.argmax(mlp_predict_proba(params, X), axis=1) + 1
 
 
-def _loss_grad(params: MlpParams, X: np.ndarray, y: np.ndarray, drop1, drop2, grads):
+def _layer_grad(a, delta, d_w, d_b) -> None:
+    """A dense layer's weight and bias gradients, written into ``d_w`` and
+    ``d_b``, from its input ``a`` and the gradient ``delta`` at its output."""
+    np.matmul(a.T, delta, out=d_w)
+    delta.sum(axis=0, out=d_b)
+
+
+def _now(fn, *args) -> None:
+    fn(*args)
+
+
+def _loss_grad(params: MlpParams, X: np.ndarray, y: np.ndarray, drop1, drop2, grads, submit=_now):
     """Mean cross-entropy and gradients on checked inputs, written into
     ``grads``: six arrays shaped like ``params.arrays()``.
 
-    ``y`` holds 0-based class indices.
+    ``y`` holds 0-based class indices.  The second layer's gradients go
+    through ``submit(fn, *args)``, which may run them on another thread: its
+    caller then waits for them before reading ``grads``.  Meanwhile this
+    thread only reads that call's operands.
     """
     B = X.shape[0]
     d_w1, d_b1, d_w2, d_b2, d_w3, d_b3 = grads
@@ -136,20 +155,17 @@ def _loss_grad(params: MlpParams, X: np.ndarray, y: np.ndarray, drop1, drop2, gr
     dlogits = np.exp(lp)
     dlogits.reshape(-1)[true] -= 1.0
     dlogits /= B
-    np.matmul(cache["a2"].T, dlogits, out=d_w3)
-    dlogits.sum(axis=0, out=d_b3)
+    _layer_grad(cache["a2"], dlogits, d_w3, d_b3)
     da2 = dlogits @ params.w3.T
     if drop2 is not None:
         da2 *= drop2
     np.multiply(da2, cache["a2"] > 0, out=da2)
-    np.matmul(cache["a1"].T, da2, out=d_w2)
-    da2.sum(axis=0, out=d_b2)
+    submit(_layer_grad, cache["a1"], da2, d_w2, d_b2)
     da1 = da2 @ params.w2.T
     if drop1 is not None:
         da1 *= drop1
     np.multiply(da1, cache["a1"] > 0, out=da1)
-    np.matmul(X.T, da1, out=d_w1)
-    da1.sum(axis=0, out=d_b1)
+    _layer_grad(X, da1, d_w1, d_b1)
     return loss
 
 
@@ -158,6 +174,59 @@ def mlp_loss_grad(params: MlpParams, X: np.ndarray, labels: np.ndarray, drop1=No
     grads = tuple(np.empty_like(a) for a in params.arrays())
     loss = _loss_grad(params, X, y, drop1, drop2, grads)
     return loss, grads
+
+
+def _draw_masks(rng: np.random.Generator, p: float, drops) -> None:
+    """Redraw the dropout masks ``drops`` in place: the draws and bits of a
+    fresh ``dropout_mask`` per array, with no new arrays."""
+    for drop in drops:
+        rng.random(out=drop)
+        np.greater_equal(drop, p, out=drop)  # 1.0 where kept, else 0.0
+        drop /= 1.0 - p
+
+
+class _Helper:
+    """Runs submitted calls in order: on one helper thread when ``threaded``,
+    else at once on the caller's.  ``close`` ends the thread."""
+
+    def __init__(self, threaded: bool):
+        self.thread = None
+        self.pending = 0  # submitted calls whose outcome is not yet collected
+        if threaded:
+            self.todo, self.done = queue.SimpleQueue(), queue.SimpleQueue()
+            self.thread = threading.Thread(target=self._serve, name="mlp_train helper", daemon=True)
+            self.thread.start()
+
+    def _serve(self) -> None:
+        for fn, args in iter(self.todo.get, None):
+            try:
+                fn(*args)
+            except BaseException as exc:  # raised by wait(): a call that left no outcome would hang it
+                self.done.put(exc)
+            else:
+                self.done.put(None)
+
+    def submit(self, fn, *args) -> None:
+        if self.thread is None:
+            fn(*args)
+        else:
+            self.todo.put((fn, args))
+            self.pending += 1
+
+    def wait(self, keep: int = 0) -> None:
+        """Wait until only the last ``keep`` submitted calls may still run;
+        raise the first error among the calls waited for."""
+        while self.pending > keep:
+            self.pending -= 1
+            exc = self.done.get()
+            if exc is not None:
+                raise exc
+
+    def close(self) -> None:
+        """Let the thread finish the calls it was given, then join it."""
+        if self.thread is not None:
+            self.todo.put(None)
+            self.thread.join()
 
 
 def mlp_train(
@@ -170,7 +239,29 @@ def mlp_train(
     """Train on flattened windows; labels in 1..4.  Deterministic given the seed.
 
     The six parameter arrays are views of one flat buffer, as are their
-    gradients, so each step is one Adam update over all of them.
+    gradients, so each step is one Adam update over all of them, run as two
+    halves of the buffer.
+
+    Where the process may use more than one core (``cpu_count``), a helper
+    thread, started here and joined before this returns or raises, takes
+    three pieces of each step: the next step's dropout draws, made while
+    this thread runs the forward pass; the second layer's weight and bias
+    gradients, while this thread backpropagates to the first layer; and the
+    second half of Adam's update, started once that backpropagation has read
+    the old ``w2``.  On one core the same loop runs each piece inline, at the
+    point where it would be handed over.  The bits are the same either way:
+    every matrix product is the same call on the same operands, Adam is
+    elementwise with the same Python-float bias corrections, and the
+    generator is read in the same order (each epoch's permutation, then the
+    masks step by step; no draw is made ahead across an epoch's end).  The
+    mask buffers come in two pairs per batch length, used in turn, so the
+    next step's draws never overwrite the masks in use.
+
+    The split assumes one BLAS thread (``OPENBLAS_NUM_THREADS=1``, as the
+    benchmark sets).  With two on two cores the bits are still equal, but
+    BLAS's thread and the helper compete for the cores: a ``dnn`` experiment
+    took 7% longer than before the helper, and 34% longer than with one BLAS
+    thread.
     """
     X, y = check_labeled(X, labels, (None,), N_CLASSES, 1)
     n, d = X.shape
@@ -180,29 +271,51 @@ def mlp_train(
     flat = flatten_arrays(init.arrays())
     grad = np.empty_like(flat)
     params, grads = MlpParams(*flat_views(flat, shapes)), flat_views(grad, shapes)
-    adam = Adam([flat], lr=config.learning_rate)
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    scratch = (np.empty_like(flat), np.empty_like(flat))
+    # Adam's two halves of the buffer: the first holds w1, b1 and w2's first rows
+    halves = (slice(None, len(flat) // 2), slice(len(flat) // 2, None))
+
+    def adam_half(part: slice, step: int) -> None:
+        c1, c2 = 1 - BETA1**step, 1 - BETA2**step
+        s1, s2 = scratch
+        adam_update(flat[part], grad[part], m[part], v[part], c1, c2, config.learning_rate, (s1[part], s2[part]))
+
     p = config.dropout
-    # one pair of dropout masks per batch length, redrawn in place each step:
-    # the same draws and bits as a fresh dropout_mask pair per step
-    masks = {}
+    pairs = {}
+
+    def masks(length: int, step: int):
+        """Step ``step``'s pair of dropout masks for a batch of ``length``."""
+        if p == 0.0:
+            return None, None
+        if length not in pairs:
+            pairs[length] = [tuple(np.empty((length, h)) for h in hidden) for _ in range(2)]
+        return pairs[length][step % 2]
+
     trace = []
-    for _ in range(config.epochs):
-        total = 0.0
-        for idx in minibatch_indices(n, config.batch_size, rng):
-            drop1 = drop2 = None
+    step = 0
+    helper = _Helper(threaded=cpu_count() > 1)
+    try:
+        for _ in range(config.epochs):
+            batches = list(minibatch_indices(n, config.batch_size, rng))
+            drops = [masks(len(idx), step + i) for i, idx in enumerate(batches)]
             if p > 0.0:
-                if len(idx) not in masks:
-                    masks[len(idx)] = tuple(np.empty((len(idx), h)) for h in hidden)
-                drop1, drop2 = masks[len(idx)]
-                for drop in (drop1, drop2):
-                    rng.random(out=drop)
-                    np.greater_equal(drop, p, out=drop)  # 1.0 where kept, else 0.0
-                    drop /= 1.0 - p
-            loss = _loss_grad(params, X[idx], y[idx], drop1, drop2, grads)
-            adam.step([flat], [grad])
-            total += loss * len(idx)
-        trace.append(total / n)
-    params = MlpParams(*(v.copy() for v in params.arrays()))
+                _draw_masks(rng, p, drops[0])
+            total = 0.0
+            for i, idx in enumerate(batches):
+                step += 1
+                if p > 0.0 and i + 1 < len(batches):
+                    helper.submit(_draw_masks, rng, p, drops[i + 1])
+                loss = _loss_grad(params, X[idx], y[idx], *drops[i], grads, helper.submit)
+                helper.submit(adam_half, halves[1], step)
+                helper.wait(keep=1)  # the draws and the second layer's gradients
+                adam_half(halves[0], step)
+                helper.wait()
+                total += loss * len(idx)
+            trace.append(total / n)
+    finally:
+        helper.close()
+    params = MlpParams(*(a.copy() for a in params.arrays()))
     if return_trace:
         return params, trace
     return params

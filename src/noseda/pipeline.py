@@ -28,7 +28,7 @@ import numpy as np
 
 from .gmm import GmmParams, gmm_assign, gmm_fit
 from .ingest import StandardizationStats, Windows, WindowSet, as_window_set
-from .nets.common import TrainConfig, check_labeled
+from .nets.common import TrainConfig, check_labeled, cpu_count as _cpu_count
 from .nets.lstm import LstmParams, lstm_predict, lstm_predict_proba, lstm_train_many
 from .nets.softmax_regression import SoftmaxRegressionParams, softmax_predict_proba, softmax_train_many
 from .serialize import from_json, json_chunks, read_json, write_atomic
@@ -256,13 +256,6 @@ def _fit_staged(
         )
         for gmm, run_experts, nets, gate, route, seed in zip(gmms, experts, networks, gates, routes, seeds)
     ]
-
-
-def _cpu_count() -> int:
-    """Cores this process may run on, or 1 where it cannot fork workers."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
 
 
 def _worker_count(n_fits: int) -> int:

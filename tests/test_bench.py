@@ -2,7 +2,9 @@ import csv
 import dataclasses
 import itertools
 import json
+import os
 import re
+import threading
 import tracemalloc
 import weakref
 from types import SimpleNamespace
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import noseda.nets.mlp as mlp_mod
 from noseda import bench, pipeline
 from noseda.bench import (
     ExperimentConfig,
@@ -634,6 +637,27 @@ class TestRunExperiment:
         result = run_experiment(quick_config(str(sdir), str(tdir), "lr", standardize=standardize))
         assert [name for name, _ in made] == ["harmonize"] * 4 + ["apply_standardizer"] * 4 + ["make_windows"] * 4
         assert result.file_names == ("a", "b")
+
+    def test_a_dnn_fit_leaves_no_thread_for_a_later_fork(self, tmp_path, monkeypatch):
+        # mlp_train joins its helper thread before it returns, so the fit
+        # workers of an ours experiment run next in the same process are forked
+        # from a one-thread process (from Python 3.12 on, os.fork warns when
+        # other threads run, and this suite makes that warning an error)
+        monkeypatch.setattr(mlp_mod, "cpu_count", lambda: 2)
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+        threads_at_fork, real_fork = [], os.fork
+
+        def recording_fork():
+            threads_at_fork.append(threading.active_count())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        sp, tp = write_pair(tmp_path, simple_spec(source_length=120, target_length=120, seed=9))
+        before = threading.active_count()
+        run_experiment(quick_config(sp, tp, "dnn", epochs=2))
+        assert threading.active_count() == before
+        run_experiment(quick_config(sp, tp, "ours", epochs=2))
+        assert threads_at_fork == [before]
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

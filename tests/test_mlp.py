@@ -1,12 +1,17 @@
 import ctypes
+import faulthandler
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import noseda.nets.mlp as mlp_mod
 from noseda.nets import TrainConfig, mlp_train
 from noseda.nets.common import Adam, dropout_mask, minibatch_indices, softmax
 from noseda.nets.mlp import (
+    HIDDEN_SIZES,
     PREDICT_BLOCK,
     MlpParams,
     _forward,
@@ -175,20 +180,119 @@ def reference_train(X, y, config, hidden):
 
 
 class TestTrainMatchesReference:
-    # 37 windows in batches of 16: the last batch of every epoch is short
+    # (windows, batch size, epochs, hidden sizes): 37 in batches of 16 leave a
+    # short last batch every epoch; 33 leave a 1-row one, so over 3 epochs the
+    # two mask pairs of each batch length swap across epoch ends; the last
+    # case runs the default hidden sizes
+    SHAPES = [(37, 16, 4, (24, 20)), (33, 16, 3, (24, 20)), (37, 16, 3, HIDDEN_SIZES)]
+
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
-    def test_bit_identical(self, rng, dropout):
-        X = rng.normal(size=(37, 6))
-        y = rng.integers(1, 5, size=37)
-        cfg = TrainConfig(epochs=4, dropout=dropout, learning_rate=0.01, batch_size=16, seed=11)
-        params, trace = mlp_train(X, y, cfg, hidden=(24, 20), return_trace=True)
-        ref_params, ref_trace = reference_train(X, y, cfg, hidden=(24, 20))
-        assert trace == ref_trace
-        for a, b in zip(params.arrays(), ref_params.arrays()):
-            assert np.array_equal(a, b)
+    def test_bit_identical(self, rng, monkeypatch, dropout):
+        # one core runs the helper's work inline; two give it a helper thread
+        for n, batch_size, epochs, hidden in self.SHAPES:
+            X = rng.normal(size=(n, 6))
+            y = rng.integers(1, 5, size=n)
+            cfg = TrainConfig(epochs=epochs, dropout=dropout, learning_rate=0.01, batch_size=batch_size, seed=11)
+            ref_params, ref_trace = reference_train(X, y, cfg, hidden=hidden)
+            for cores in (1, 2):
+                monkeypatch.setattr(mlp_mod, "cpu_count", lambda: cores)
+                params, trace = mlp_train(X, y, cfg, hidden=hidden, return_trace=True)
+                assert trace == ref_trace, (n, hidden, cores)
+                for a, b in zip(params.arrays(), ref_params.arrays()):
+                    assert np.array_equal(a, b), (n, hidden, cores)
 
     def test_returned_params_own_their_arrays(self, rng):
         X, y = xor_set(rng, n=20)
         params = mlp_train(X, y, TrainConfig(epochs=1, batch_size=8), hidden=(4, 4))
         for a in params.arrays():
             assert a.base is None
+
+
+class TestHelperThread:
+    """``mlp_train`` runs a helper thread only where it may use more than one
+    core, joins it before it returns or raises, and lets an error on either
+    thread reach the caller as it was raised."""
+
+    CFG = TrainConfig(epochs=2, dropout=0.2, learning_rate=0.01, batch_size=8, seed=5)
+
+    @pytest.fixture(autouse=True)
+    def time_bound(self):
+        """End the test process, with every thread's traceback, if a test hangs."""
+        faulthandler.dump_traceback_later(120, exit=True)
+        yield
+        faulthandler.cancel_dump_traceback_later()
+
+    @staticmethod
+    def fit(rng, monkeypatch, cores):
+        monkeypatch.setattr(mlp_mod, "cpu_count", lambda: cores)
+        X, y = xor_set(rng, n=40)
+        return mlp_train(X, y, TestHelperThread.CFG, hidden=(16, 16))
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_the_thread_lives_only_for_the_call(self, rng, monkeypatch, cores):
+        before, during = threading.active_count(), []
+        real = mlp_mod._loss_grad
+
+        def counting(*args):
+            during.append(threading.active_count())
+            return real(*args)
+
+        monkeypatch.setattr(mlp_mod, "_loss_grad", counting)
+        self.fit(rng, monkeypatch, cores)
+        assert set(during) == {before + (cores > 1)}
+        assert threading.active_count() == before
+
+    def test_an_error_on_the_calling_thread_is_raised_unchanged(self, rng, monkeypatch):
+        before, calls = threading.active_count(), []
+        planted = RuntimeError("planted at step 3")
+        real = mlp_mod._loss_grad
+
+        def failing_at_step_3(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise planted
+            return real(*args)
+
+        monkeypatch.setattr(mlp_mod, "_loss_grad", failing_at_step_3)
+        with pytest.raises(RuntimeError) as info:
+            self.fit(rng, monkeypatch, cores=2)
+        assert info.value is planted
+        assert threading.active_count() == before
+
+    def test_an_error_on_the_helper_is_raised_unchanged(self, rng, monkeypatch):
+        before, helper_calls = threading.active_count(), []
+        planted = RuntimeError("planted in the helper's Adam half")
+        real = mlp_mod.adam_update
+
+        def failing_on_the_helper(*args):
+            if threading.current_thread() is not threading.main_thread():
+                helper_calls.append(None)
+                if len(helper_calls) == 2:
+                    raise planted
+            real(*args)
+
+        monkeypatch.setattr(mlp_mod, "adam_update", failing_on_the_helper)
+        with pytest.raises(RuntimeError) as info:
+            self.fit(rng, monkeypatch, cores=2)
+        assert info.value is planted
+        assert len(helper_calls) == 2
+        assert threading.active_count() == before
+
+    def test_bits_hold_when_the_threads_switch_often(self, rng, monkeypatch):
+        # a switch interval of a microsecond interleaves the two threads at
+        # many more points than the default 5 ms: a step that reads a buffer
+        # before the other thread has written it shows as changed bits
+        monkeypatch.setattr(mlp_mod, "cpu_count", lambda: 2)
+        X = rng.normal(size=(33, 6))
+        y = rng.integers(1, 5, size=33)
+        cfg = TrainConfig(epochs=3, dropout=0.3, learning_rate=0.01, batch_size=4, seed=2)
+        ref_params, ref_trace = reference_train(X, y, cfg, hidden=(24, 20))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            params, trace = mlp_train(X, y, cfg, hidden=(24, 20), return_trace=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert trace == ref_trace
+        for a, b in zip(params.arrays(), ref_params.arrays()):
+            assert np.array_equal(a, b)
